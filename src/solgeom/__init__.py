@@ -17,6 +17,7 @@ from .classifier import (
     PillowcaseInvariant,
     enumerate_invariants,
     from_extension,
+    group_from_invariant,
     homology_report,
     presentation_from_invariant,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "finite_order_class",
     "from_description",
     "from_extension",
+    "group_from_invariant",
     "homology_report",
     "in_image",
     "induced_lattice_matrix",

@@ -152,18 +152,22 @@ def pillowcase_group(p: int, q: int, r: int) -> ExtensionGroup:
     )
 
 
+# the builder of each catalog name's representative, default parameters
+_BUILDERS = {
+    "pillowcase": lambda: pillowcase_group(3, 2, 4),
+    "kb-monodromy": kb_monodromy_group,
+    "bordered": bordered_group,
+    "B1-sd-theta": b1_sd_theta_group,
+    "Dinf": dinf_group,
+    "G2": g2_group,
+    "B1": b1_group,
+    "sigma": sigma_group,
+}
+
+
 def default_catalog() -> dict[str, ExtensionGroup]:
     """One representative group per catalog name, default parameters."""
-    return {
-        "pillowcase": pillowcase_group(3, 2, 4),
-        "kb-monodromy": kb_monodromy_group(),
-        "bordered": bordered_group(),
-        "B1-sd-theta": b1_sd_theta_group(),
-        "Dinf": dinf_group(),
-        "G2": g2_group(),
-        "B1": b1_group(),
-        "sigma": sigma_group(),
-    }
+    return {name: build() for name, build in _BUILDERS.items()}
 
 
 def _split_args(text: str) -> list[str]:
@@ -196,9 +200,8 @@ def parse_group_spec(text: str) -> ExtensionGroup:
     """
     text = text.strip()
     if "(" not in text:
-        groups = default_catalog()
-        if text in groups:
-            return groups[text]
+        if text in _BUILDERS:
+            return _BUILDERS[text]()
         raise ValueError(f"unknown catalog group {text!r}")
     head, _, rest = text.partition("(")
     head = head.strip()
@@ -211,9 +214,8 @@ def parse_group_spec(text: str) -> ExtensionGroup:
             raise ValueError("pillowcase takes a (p,q,r) triple")
         p, q, r = (int(x) for x in parts)
         # route through the invariant type so triple semantics are enforced
-        from .classifier import PillowcaseInvariant, presentation_from_invariant
-        _, group = presentation_from_invariant(PillowcaseInvariant(p, q, r))
-        return group
+        from .classifier import PillowcaseInvariant, group_from_invariant
+        return group_from_invariant(PillowcaseInvariant(p, q, r))
     if head == "kb-monodromy":
         return kb_monodromy_group(IntMatrix.parse(body))
     if head == "bordered":

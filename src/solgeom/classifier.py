@@ -121,13 +121,22 @@ def enumerate_invariants(max_entry: int) -> list[PillowcaseInvariant]:
     return out
 
 
+def group_from_invariant(inv: PillowcaseInvariant) -> ExtensionGroup:
+    """The extension group attached to an invariant, after the exact
+    torsion gate."""
+    group = catalog.pillowcase_group(inv.p, inv.q, inv.r)
+    witness = group.find_torsion()
+    if witness is not None:
+        raise InvariantError(f"invariant produced a torsion element: "
+                             f"witness (t={witness.t}, word={witness.q})")
+    return group
+
+
 def presentation_from_invariant(
         inv: PillowcaseInvariant) -> tuple[FpPresentation, ExtensionGroup]:
     """The explicit presentation and extension group attached to an
     invariant; runs the torsion gate before returning."""
-    group = catalog.pillowcase_group(inv.p, inv.q, inv.r)
-    witness = group.find_torsion(7)
-    assert witness is None, "invariant produced a torsion element"
+    group = group_from_invariant(inv)
     return group.presentation(), group
 
 
@@ -151,7 +160,7 @@ def from_extension(u: IntMatrix, v: IntMatrix, s_u: IntVector,
         action={"u": u, "v": v},
         cocycles={"u": tuple(s_u), "v": tuple(s_v)},
     )
-    witness = group.find_torsion(7)
+    witness = group.find_torsion()
     if witness is not None:
         raise InvariantError(f"extension has torsion: witness "
                              f"(t={witness.t}, word={witness.q})")
@@ -203,9 +212,10 @@ def _restrict(m: IntMatrix, basis: list[IntVector]) -> IntMatrix:
 
 def homology_report(inv: PillowcaseInvariant) -> dict:
     """H1 structure, generator image orders, and the w1 verdict."""
-    _, group = presentation_from_invariant(inv)
+    group = group_from_invariant(inv)
     rank, torsion = group.abelianization()
-    assert rank == 0
+    if rank != 0:
+        raise InvariantError(f"first Betti number is {rank}, not 0")
     orders = group.h1_generator_orders()
     return {
         "invariant": inv.to_record(),

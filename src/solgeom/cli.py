@@ -14,12 +14,18 @@ validation error, 2 suite failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 
 from . import catalog, verify
 from .classifier import enumerate_invariants, normalize, validate
 from .intmat import IntMatrix
+
+
+# a matrix literal such as "-3,2;4,-3": a value, even with a leading minus
+_MATRIX_LITERAL = re.compile(r"-?\d+(\s*[,;]\s*-?\d+)+")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -29,6 +35,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(json.dumps({"schema": "solgeom/error-v1", "error": message}))
         raise SystemExit(1)
+
+    def _parse_optional(self, arg_string):
+        if _MATRIX_LITERAL.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _emit(payload: dict, pretty: bool) -> None:
@@ -87,10 +98,13 @@ def _cmd_center(args):
 
 
 def _cmd_torsion(args):
+    if args.max_word < 1:
+        raise ValueError(f"--max-word must be at least 1, not "
+                         f"{args.max_word}")
     g = catalog.resolve_group(args.spec)
-    witness = g.find_torsion(args.max_word)
+    witness = g.find_torsion()
     out = {"schema": "solgeom/torsion-v1", "group": g.name,
-           "maxWordLength": args.max_word,
+           "maxWordLength": args.max_word, "complete": True,
            "torsion_found": witness is not None}
     if witness is not None:
         out["witness"] = {"element": g.element_to_word(witness), "order": 2}
@@ -115,6 +129,7 @@ def _cmd_verify(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _parser() -> _Parser:
     top = _Parser(prog="solgeom",
                   description="Sol^3 x E^1 group toolkit, JSON output")
@@ -151,7 +166,8 @@ def _parser() -> _Parser:
     for name, handler, extra in (
             ("h1", _cmd_h1, "abelianization rank and torsion"),
             ("center", _cmd_center, "center rank and generating words"),
-            ("torsion", _cmd_torsion, "search dihedral cosets for torsion"),
+            ("torsion", _cmd_torsion, "decide torsion in a dihedral "
+                                      "extension"),
             ("w1", _cmd_w1, "orientation character data")):
         p = grp_sub.add_parser(name, parents=[pretty], help=extra)
         p.add_argument("spec",
@@ -159,7 +175,8 @@ def _parser() -> _Parser:
                             "pillowcase(3,2,4), or a .json description path")
         if name == "torsion":
             p.add_argument("--max-word", type=int, default=7, metavar="L",
-                           help="odd quotient word length bound (default 7)")
+                           help="echoed as maxWordLength; the decision is "
+                                "exact for every L >= 1 (default 7)")
         p.set_defaults(handler=handler)
 
     ver = sub.add_parser("verify", parents=[pretty],

@@ -17,7 +17,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .intmat import (
     IntMatrix,
@@ -117,6 +119,16 @@ class FpPresentation:
         return [render_word(r) for r in self.relators]
 
 
+class _H1Data(NamedTuple):
+    gens: tuple[str, ...]
+    rows: list[list[int]]
+    free_rank: int
+    torsion: tuple[int, ...]
+    p: list[list[int]]
+    rank: int
+    diag: list[int]
+
+
 class ExtensionGroup:
     """A lattice extension with chosen quotient kind, actions and cocycles.
 
@@ -130,6 +142,8 @@ class ExtensionGroup:
     def __init__(self, kind, rank, lattice_names=None, generators=None,
                  action=None, cocycles=None, axis_signs=None, name=None):
         self.kind = QuotientKind(kind)
+        if not isinstance(rank, int) or isinstance(rank, bool):
+            raise ValueError(f"rank must be an integer, not {rank!r}")
         if rank < 0:
             raise ValueError("negative rank")
         self.rank = rank
@@ -531,35 +545,32 @@ class ExtensionGroup:
         assert p.q == self._q_identity()
         return is_zero_vector(p.t)
 
-    def find_torsion(self, max_word_len: int = 7) -> GroupElement | None:
-        """Search the Dinf cosets of odd words up to max_word_len for a
-        torsion element and return a witness, or None.
+    def find_torsion(self) -> GroupElement | None:
+        """A torsion element of a Dinf extension, or None if there is none.
 
-        The coset of an odd word w contains torsion iff -s(w) is in the
-        image of I + action(w), where s(w) is the lattice part of the
-        square of (0, w).
+        The decision is exact.  The lattice is torsion-free, so a torsion
+        element maps to a reflection of D-infinity, and every reflection is
+        conjugate to u or to v; conjugating by a lift moves the element into
+        the coset of u or of v.  The coset of an involutive generator g
+        holds an involution (t, g) iff t + A_g t + s_g = 0, that is iff
+        -s_g is in the image of I + A_g.  The witness is taken from the
+        coset of u when it has one, else from that of v.
         """
         if self.kind is not QuotientKind.DINF:
             raise ValueError("torsion search is defined for Dinf extensions "
                              "only")
-        for length in range(1, max_word_len + 1, 2):
-            for first in self.generators:
-                second = (self.generators[1] if first == self.generators[0]
-                          else self.generators[0])
-                word = tuple((first if i % 2 == 0 else second)
-                             for i in range(length))
-                base = self.element((0,) * self.rank, word)
-                s_w = self.element_mul(base, base)
-                assert s_w.q == ()
-                if self.rank == 0:
-                    return base
-                m = self._word_matrix(word) + IntMatrix.identity(self.rank)
-                sol = solve_integer(m, vec_neg(s_w.t))
-                if sol is not None:
-                    witness = self.element(sol, word)
-                    sq = self.element_mul(witness, witness)
-                    assert sq == self.identity()
-                    return witness
+        if self.rank == 0:
+            return self.element((), (self.generators[0],))
+        ident = IntMatrix.identity(self.rank)
+        for g in self.generators:
+            sol = solve_integer(self.action[g] + ident,
+                                vec_neg(self.square_cocycle[g]))
+            if sol is not None:
+                witness = self.element(sol, (g,))
+                if self.element_mul(witness, witness) != self.identity():
+                    raise RuntimeError(f"torsion witness {witness} does not "
+                                       f"square to the identity")
+                return witness
         return None
 
     # -- presentations ------------------------------------------------------
@@ -616,30 +627,32 @@ class ExtensionGroup:
         rows = [[col[i] for col in cols] for i in range(len(gens))]
         return gens, rows
 
-    def _h1_data(self):
-        """(generators, free rank, torsion, P, SNF rank, SNF diagonal) of
-        the abelianization; H1 coordinates of a class x are P x."""
+    @cached_property
+    def _h1_data(self) -> _H1Data:
+        """The abelianization, built once per group: relator matrix, free
+        rank, torsion and the Smith form; H1 coordinates of a class x are
+        P x."""
         gens, rows = self._relator_matrix_rows()
         if not gens:
-            return gens, 0, (), [], 0, []
+            return _H1Data(gens, rows, 0, (), [], 0, [])
         w = _snf_rows(rows)
         nr = len(rows)
         rank = sum(1 for i in range(min(nr, len(rows[0])))
                    if w.s[i][i] != 0)
         diag = [w.s[i][i] for i in range(rank)]
         torsion = tuple(d for d in diag if d > 1)
-        free_rank = nr - rank
-        return gens, free_rank, torsion, w.p, rank, diag
+        return _H1Data(gens, rows, nr - rank, torsion, w.p, rank, diag)
 
     def abelianization(self) -> tuple[int, tuple[int, ...]]:
         """(free rank, torsion coefficients) of pi / [pi, pi]."""
-        _, free_rank, torsion, _, _, _ = self._h1_data()
-        return free_rank, torsion
+        h1 = self._h1_data
+        return h1.free_rank, h1.torsion
 
     def h1_generator_orders(self) -> dict[str, int | None]:
         """Order of each generator's image in the abelianization (None for
         infinite)."""
-        gens, _, _, p, rank, diag = self._h1_data()
+        h1 = self._h1_data
+        gens, p, rank, diag = h1.gens, h1.p, h1.rank, h1.diag
         nr = len(gens)
         orders = {}
         for i, g in enumerate(gens):
@@ -678,10 +691,10 @@ class ExtensionGroup:
     def w1_factors_through_z4(self) -> bool:
         """Whether the orientation character lifts to a map H1 -> Z/4."""
         chars = self.generator_characters()
-        gens, _, _, p, rank, diag = self._h1_data()
+        h1 = self._h1_data
+        gens, rows, p, rank, diag = h1.gens, h1.rows, h1.p, h1.rank, h1.diag
         nr = len(gens)
         # the character must vanish on every relator (it factors through H1)
-        _, rows = self._relator_matrix_rows()
         ncols = len(rows[0]) if rows else 0
         for c in range(ncols):
             total = sum(rows[i][c] * chars[gens[i]] for i in range(nr))
@@ -820,9 +833,10 @@ class ExtensionGroup:
         """Basis of the lattice vectors whose images in H1 are torsion."""
         if self.rank == 0:
             return []
-        gens, free_rank, _, p, rank, _ = self._h1_data()
+        h1 = self._h1_data
+        gens, p, rank = h1.gens, h1.p, h1.rank
         nr = len(gens)
-        if free_rank == 0:
+        if h1.free_rank == 0:
             return [e.t for e in self.lattice_basis_elements()]
         rows = [[p[j][i] for i in range(self.rank)]
                 for j in range(rank, nr)]
@@ -871,30 +885,61 @@ class CenterDescription:
         return f"rank {self.rank}, generated by {parts}"
 
 
+def _check_description_shape(d) -> None:
+    """Raise ValueError unless d has the JSON shape of a description:
+    names are strings, matrices arrays of rows of integers, cocycles
+    arrays of integers.  Tuples pass as arrays."""
+    if not isinstance(d, dict):
+        raise ValueError("group description must be a JSON object")
+
+    def array_of(v, ok):
+        return isinstance(v, (list, tuple)) and all(ok(x) for x in v)
+
+    def is_int(x):
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    for key in ("lattice", "generators"):
+        if d.get(key) is not None and \
+                not array_of(d[key], lambda n: isinstance(n, str)):
+            raise ValueError(f"description field {key!r} must be an array "
+                             f"of names")
+    for key in ("action", "cocycles", "axisSigns"):
+        if d.get(key) is not None and not isinstance(d[key], dict):
+            raise ValueError(f"description field {key!r} must be a JSON "
+                             f"object")
+    for g, m in (d.get("action") or {}).items():
+        if m is not None and not array_of(m, lambda r: array_of(r, is_int)):
+            raise ValueError(f"action of {g!r} must be an array of rows of "
+                             f"integers")
+    for g, v in (d.get("cocycles") or {}).items():
+        if not array_of(v, is_int):
+            raise ValueError(f"cocycle of {g!r} must be an array of "
+                             f"integers")
+
+
 def from_description(d: dict) -> ExtensionGroup:
-    """Build a group from its JSON-style description dict."""
+    """Build a group from its JSON-style description dict.  A description
+    of the wrong shape raises ValueError; a missing kind or rank raises
+    KeyError."""
+    _check_description_shape(d)
     kind = QuotientKind(d["kind"])
     rank = d["rank"]
+    given_action = d.get("action") or {}
     generators = d.get("generators")
     if generators is None:
-        action_keys = list(d.get("action", {}))
         if _ARITY[kind] <= 1:
-            generators = action_keys
+            generators = list(given_action)
         else:
             raise ValueError("description needs a generators list to fix "
                              "generator roles")
-    lattice = d.get("lattice")
-    action = {g: (None if rank == 0 else m)
-              for g, m in d.get("action", {}).items()}
-    if not action and _ARITY[kind] == 0:
-        action = {}
+    action = {g: (None if rank == 0 else m) for g, m in given_action.items()}
     return ExtensionGroup(
         kind,
         rank,
-        lattice_names=lattice,
+        lattice_names=d.get("lattice"),
         generators=generators,
         action=action,
-        cocycles={g: tuple(v) for g, v in d.get("cocycles", {}).items()},
+        cocycles={g: tuple(v) for g, v in (d.get("cocycles") or {}).items()},
         axis_signs=d.get("axisSigns"),
         name=d.get("name"),
     )

@@ -12,15 +12,15 @@ import itertools
 import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from math import gcd
 
 from . import catalog
 from .classifier import (
     enumerate_invariants,
     from_extension,
+    group_from_invariant,
     homology_report,
-    presentation_from_invariant,
 )
 from .extensions import (
     induced_lattice_matrix,
@@ -78,6 +78,9 @@ def _pmap(fn, items):
     workers = worker_count()
     if workers == 1 or len(items) < 2:
         return [fn(x) for x in items]
+    # imported on first use: only the suites need it, and it adds about
+    # 1 MB to every process that imports solgeom
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -230,7 +233,7 @@ def _conjugated_data(group, b):
 
 
 def _check_roundtrip(inv):
-    _, group = presentation_from_invariant(inv)
+    group = group_from_invariant(inv)
     rng = random.Random(inv.p * 1000003 + inv.q * 1009 + inv.r)
     bases = [IntMatrix.identity(3)]
     for _ in range(3):
@@ -258,22 +261,27 @@ def run_roundtrip(max_entry: int = 20) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# homology: rank 0, lattice generators y,z of order 2, the order doubling
-# law ord(u) = ord(v) = 2 ord(x), and w1 through Z/4
+# homology: rank 0, lattice generators y,z of order 2, ord(x) = gcd(p-1, q),
+# the order doubling law ord(u) = ord(v) = 2 ord(x), and w1 through Z/4
 #
 # The classical profile (2,2,2,4,4) holds only on part of the family: for
 # (5,4,6) the abelianization is Z/2 + Z/4 + Z/8, with x of order 4 and u
 # of order 8 (confirmed by determinant-divisor arithmetic and by counting
 # homomorphisms to Z/8).  The laws below hold for every invariant.
 
-def _check_homology(inv):
-    rep = homology_report(inv)
+_CLASSICAL_ORDERS = {"x": 2, "y": 2, "z": 2, "u": 4, "v": 4}
+
+
+def _check_homology(inv, rep):
     key = (inv.p, inv.q, inv.r)
     o = rep["orders"]
     if rep["h1"]["rank"] != 0:
         return _fail(key, "first Betti number 0", rep["h1"])
     if o["y"] != 2 or o["z"] != 2:
         return _fail(key, "images of y and z have order 2", o)
+    if o["x"] != gcd(inv.p - 1, inv.q):
+        return _fail(key, f"ord(x) = gcd(p-1, q) = {gcd(inv.p - 1, inv.q)}",
+                     o)
     if o["u"] != 2 * o["x"] or o["v"] != o["u"]:
         return _fail(key, "ord(u) = ord(v) = 2 ord(x)", o)
     if rep["w1_factors_through_z4"] is not True:
@@ -282,16 +290,21 @@ def _check_homology(inv):
 
 
 def run_homology(max_entry: int = 20) -> VerificationReport:
-    invs = list(enumerate_invariants(max_entry))
-    classical = sum(
-        1 for inv in invs
-        if homology_report(inv)["orders"] ==
-        {"x": 2, "y": 2, "z": 2, "u": 4, "v": 4})
-    return _run(
-        "homology", invs, _check_homology, {"maxEntry": max_entry},
-        notes=[f"the classical profile (x,y,z of order 2, u,v of order 4) "
-               f"holds on {classical} of {len(invs)} instances; the sweep "
-               f"asserts the laws that hold on all of them"])
+    classical = []
+
+    def check(inv):
+        rep = homology_report(inv)
+        if rep["orders"] == _CLASSICAL_ORDERS:
+            classical.append(inv)
+        return _check_homology(inv, rep)
+
+    report = _run("homology", enumerate_invariants(max_entry), check,
+                  {"maxEntry": max_entry})
+    report.parameters["notes"] = [
+        f"the classical profile (x,y,z of order 2, u,v of order 4) holds "
+        f"on {len(classical)} of {report.instances} instances; the sweep "
+        f"asserts the laws that hold on all of them"]
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,84 @@ def cokernel_by_minors(rows):
     return free, torsion
 
 
+def rank_by_minors(rows):
+    """Rank: the largest k with a nonzero k x k minor."""
+    k = 0
+    while k < min(len(rows), len(rows[0]) if rows else 0) \
+            and minor_gcd(rows, k + 1):
+        k += 1
+    return k
+
+
+def solvable_by_minors(rows, b):
+    """Whether M x = b has an integer solution: M and [M | b] must have
+    the same rank r and the same gcd of r x r minors."""
+    aug = [list(r) + [c] for r, c in zip(rows, b)]
+    r = rank_by_minors(rows)
+    if rank_by_minors(aug) != r:
+        return False
+    return r == 0 or minor_gcd(rows, r) == minor_gcd(aug, r)
+
+
+# ---------------------------------------------------------------------------
+# torsion in a Dinf extension, by searching the words
+
+def _mat_vec(m, v):
+    return [sum(a * b for a, b in zip(row, v)) for row in m]
+
+
+def _word_matrix(action, word, n):
+    """Action of a quotient word: the product of its letters' matrices."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for letter in word:
+        a = action[letter]
+        m = [[sum(m[i][k] * a[k][j] for k in range(n)) for j in range(n)]
+             for i in range(n)]
+    return m
+
+
+def dinf_square(action, cocycles, word, n):
+    """Lattice part of (0, w)^2 for an alternating word w over u and v:
+    append w's letters to (0, w) one at a time, where appending the
+    letter g to a word ending in g drops that g and adds A(rest) s_g."""
+    t, q = [0] * n, list(word)
+    for letter in word:
+        if q and q[-1] == letter:
+            q.pop()
+            shift = _mat_vec(_word_matrix(action, q, n), cocycles[letter])
+            t = [a + b for a, b in zip(t, shift)]
+        else:
+            q.append(letter)
+    assert not q, "an odd alternating word squares into the lattice"
+    return t
+
+
+def dinf_involution_word(action, cocycles, n, max_len=9):
+    """The first odd alternating word w over u and v, by length and then
+    u before v, whose coset holds an involution (t, w); None if no word of
+    length <= max_len does.  (t, w)^2 = t + A(w) t + s(w), so the coset
+    holds one iff (I + A(w)) t = -s(w) is solvable over the integers.
+    action and cocycles map "u" and "v" to plain lists."""
+    for length in range(1, max_len + 1, 2):
+        for first, second in (("u", "v"), ("v", "u")):
+            word = [first if i % 2 == 0 else second for i in range(length)]
+            if n == 0:
+                return word
+            s = dinf_square(action, cocycles, word, n)
+            m = _word_matrix(action, word, n)
+            rows = [[m[i][j] + (i == j) for j in range(n)] for i in range(n)]
+            if solvable_by_minors(rows, [-x for x in s]):
+                return word
+    return None
+
+
+def dinf_is_involution(action, cocycles, t, letter, n):
+    """Whether (t, letter) squares to 1: t + A t + s = 0."""
+    image = _mat_vec(action[letter], t)
+    return all(a + b + c == 0
+               for a, b, c in zip(t, image, cocycles[letter]))
+
+
 # ---------------------------------------------------------------------------
 # pillowcase abelianization, read off the presentation by hand
 

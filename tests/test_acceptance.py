@@ -251,17 +251,17 @@ def test_criterion_5(capsys):
 
 
 def test_criterion_6(capsys):
-    # both cocycles: torsion-free over odd words of length <= 7;
-    # zeroing either cocycle yields a witness
+    # both cocycles: torsion-free (exact); zeroing either cocycle yields
+    # a witness
     failures = []
     for inv in enumerate_invariants(20):
         g = catalog.pillowcase_group(inv.p, inv.q, inv.r)
-        if g.find_torsion(7) is not None:
+        if g.find_torsion() is not None:
             failures.append(((inv.p, inv.q, inv.r), "unexpected torsion"))
         for name in ("u", "v"):
             desc = json.loads(json.dumps(g.to_description()))
             desc["cocycles"][name] = [0, 0, 0]
-            if from_description(desc).find_torsion(7) is None:
+            if from_description(desc).find_torsion() is None:
                 failures.append(((inv.p, inv.q, inv.r),
                                  f"no witness with {name} zeroed"))
     ok = not failures

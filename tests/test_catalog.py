@@ -5,7 +5,7 @@ import json
 import pytest
 
 from solgeom import catalog
-from solgeom.extensions import QuotientKind
+from solgeom.extensions import ExtensionGroup, QuotientKind
 from solgeom.intmat import IntMatrix
 
 
@@ -84,3 +84,39 @@ def test_sol4_registry_betti_numbers():
              for name in catalog.SOL4_NAMES}
     assert betti == {"pillowcase": 0, "kb-monodromy": 1,
                      "bordered": 2, "B1-sd-theta": 1}
+
+
+def test_bare_names_resolve_to_their_builders():
+    builders = {
+        "pillowcase": lambda: catalog.pillowcase_group(3, 2, 4),
+        "kb-monodromy": catalog.kb_monodromy_group,
+        "bordered": catalog.bordered_group,
+        "B1-sd-theta": catalog.b1_sd_theta_group,
+        "Dinf": catalog.dinf_group,
+        "G2": catalog.g2_group,
+        "B1": catalog.b1_group,
+        "sigma": catalog.sigma_group,
+    }
+    assert set(builders) == set(catalog.SOL4_NAMES + catalog.OTHER_NAMES)
+    for name, build in builders.items():
+        want = build().to_description()
+        assert catalog.parse_group_spec(name).to_description() == want
+        assert catalog.resolve_group(name).to_description() == want
+        assert catalog.default_catalog()[name].to_description() == want
+    with pytest.raises(ValueError, match="unknown catalog group 'G3'"):
+        catalog.resolve_group("G3")
+
+
+def test_bare_name_builds_one_group(monkeypatch):
+    built = []
+    init = ExtensionGroup.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("name"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExtensionGroup, "__init__", counting)
+    for name in catalog.SOL4_NAMES + catalog.OTHER_NAMES:
+        built.clear()
+        catalog.resolve_group(name)
+        assert len(built) == 1, (name, built)

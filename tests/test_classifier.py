@@ -1,6 +1,10 @@
 """Invariant validation, normalization, enumeration, and recovery."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -181,3 +185,45 @@ def test_homology_against_minor_gcd_oracle():
         _, group = presentation_from_invariant(inv)
         _, rows = group._relator_matrix_rows()
         assert group.abelianization() == oracles.cokernel_by_minors(rows)
+
+
+# The gate sees a pillowcase group whose v-cocycle is zeroed, so the group
+# has torsion; it must refuse it with InvariantError even under python -O.
+_GATE_SCRIPT = textwrap.dedent("""
+    import sys
+    from solgeom import catalog, classifier
+    from solgeom.extensions import from_description
+
+    build = catalog.pillowcase_group
+
+    def with_torsion(p, q, r):
+        d = build(p, q, r).to_description()
+        d["cocycles"]["v"] = [0, 0, 0]
+        return from_description(d)
+
+    catalog.pillowcase_group = with_torsion
+    inv = classifier.PillowcaseInvariant(3, 2, 4)
+    for call in (classifier.presentation_from_invariant,
+                 classifier.homology_report):
+        try:
+            call(inv)
+        except classifier.InvariantError as exc:
+            print(exc)
+        else:
+            sys.exit(1)
+    sys.exit(0 if sys.flags.optimize else 3)
+""")
+
+
+def test_torsion_gate_raises_under_optimize():
+    src = os.path.dirname(os.path.dirname(
+        os.path.abspath(sys.modules["solgeom"].__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _GATE_SCRIPT],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    assert all("torsion element" in line and "word=('v',)" in line
+               for line in lines)

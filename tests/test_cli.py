@@ -206,3 +206,78 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["isomorphic"] is True
+
+
+def test_validate_leading_minus_without_separator(capsys):
+    code, out = run(capsys, "invariant", "validate", "-3,2;4,-3")
+    assert code == 0
+    assert out == {"schema": "solgeom/invariant-v1", "p": -3, "q": 2,
+                   "r": 4, "matrix": "-3,2;4,-3"}
+
+
+def test_isom_leading_minus_without_separator(capsys):
+    code, out = run(capsys, "invariant", "isom", "-3,2;4,-3", "-3,-2;-4,-3")
+    assert code == 0 and out["isomorphic"] is True
+
+
+def test_unknown_option_is_still_an_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["invariant", "validate", "-x"])
+    assert exc.value.code == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["schema"] == "solgeom/error-v1"
+
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
+def test_torsion_is_complete(capsys):
+    code, out = run(capsys, "group", "torsion", "sigma")
+    assert code == 0
+    assert out == {"schema": "solgeom/torsion-v1", "group": "sigma",
+                   "maxWordLength": 7, "complete": True,
+                   "torsion_found": False}
+    code, out = run(capsys, "group", "torsion", "Dinf", "--max-word", "1")
+    assert code == 0 and out["complete"] is True
+    assert out["maxWordLength"] == 1
+    assert out["witness"] == {"element": "u", "order": 2}
+
+
+@pytest.mark.parametrize("bound", ["0", "-1", "-7"])
+def test_torsion_rejects_bound_below_one(capsys, bound):
+    code = cli.main(["group", "torsion", "Dinf", "--max-word", bound])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    out = json.loads(lines[0])
+    assert out["schema"] == "solgeom/error-v1"
+    assert "--max-word must be at least 1" in out["error"]
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("h1", [{"kind": "Zq", "rank": 1, "generators": ["s"],
+             "action": {"s": [[-1]]}}], "must be a JSON object"),
+    ("center", {"kind": "Zq", "rank": "3", "generators": ["s"],
+                "action": {"s": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+     "rank must be an integer"),
+    ("h1", {"kind": "Zq", "rank": 1, "generators": ["s"],
+            "action": {"s": [1]}}, "array of rows of integers"),
+    ("w1", {"kind": "C2", "rank": 1, "generators": ["u"],
+            "action": {"u": [[1]]}, "cocycles": {"u": [1.5]}},
+     "array of integers"),
+    ("center", {"kind": "Zq", "rank": 1, "lattice": [["a"]],
+                "generators": ["s"], "action": {"s": [[1]]}},
+     "array of names"),
+])
+def test_malformed_description_is_one_error_document(capsys, tmp_path,
+                                                     command, payload,
+                                                     message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(["group", command, str(path)])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    out = json.loads(lines[0])
+    assert out["schema"] == "solgeom/error-v1" and message in out["error"]

@@ -104,13 +104,13 @@ def test_dinf_rank_zero():
     w = g.element_mul(u, v)
     assert not g.is_torsion(w)
     assert g.is_torsion(u)
-    wit = g.find_torsion(1)
+    wit = g.find_torsion()
     assert wit is not None and g.is_torsion(wit)
 
 
 def test_torsion_search_agrees_with_direct_check():
     g = catalog.pillowcase_group(3, 2, 4)
-    assert g.find_torsion(7) is None
+    assert g.find_torsion() is None
     # no torsion among short odd coset words with small lattice offsets
     words = [("u",), ("v",), ("u", "v", "u"), ("v", "u", "v"),
              ("u", "v", "u", "v", "u"), ("v", "u", "v", "u", "v")]
@@ -132,7 +132,7 @@ def test_zeroed_cocycle_introduces_torsion():
             cocycles=cocycles,
             axis_signs=dict(base.axis_signs),
         )
-        wit = g.find_torsion(7)
+        wit = g.find_torsion()
         assert wit is not None
         assert g.is_torsion(wit)
 

@@ -1,0 +1,171 @@
+"""The exact Dinf torsion decision against a word search.
+
+find_torsion decides torsion from the cosets of u and v alone.  The oracle
+searches every odd alternating word up to length 9 for a coset holding an
+involution, on plain lists; the two must agree, and every witness must
+square to 1 by the oracle's arithmetic.
+"""
+
+import itertools
+import random
+from collections import Counter
+from math import gcd
+
+import pytest
+
+import oracles
+from solgeom import catalog, extensions
+from solgeom.classifier import enumerate_invariants
+from solgeom.extensions import ExtensionGroup, from_description
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def _mat_vec(m, v):
+    return [sum(a * b for a, b in zip(row, v)) for row in m]
+
+
+def _random_basis(rng, n=3, steps=6):
+    """A random unimodular matrix and its inverse, from elementary row
+    operations."""
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
+    bi = [row[:] for row in b]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((-1, 1))
+        e = [[int(r == c) for c in range(n)] for r in range(n)]
+        ei = [row[:] for row in e]
+        e[i][j], ei[i][j] = s, -s
+        b, bi = _mat_mul(e, b), _mat_mul(bi, ei)
+    return b, bi
+
+
+def _coboundary(m, w):
+    """(I + M) w."""
+    return [a + b for a, b in zip(w, _mat_vec(m, w))]
+
+
+def _pillowcase_data(p, q, r):
+    k = gcd(p - 1, q)
+    action = {"u": [[p, q, 0], [-r, -p, 0], [0, 0, -1]],
+              "v": [[1, 0, 0], [0, -1, 0], [0, 0, -1]]}
+    return action, {"u": [q // k, (1 - p) // k, 0], "v": [1, 0, 0]}
+
+
+def _pillowcase_variants(rng):
+    """Each invariant with entries <= 20 in a random basis with coboundary
+    shifts; its torsion copy s_u = -(I+U)w; and both zeroed cocycles."""
+    out = []
+    for inv in enumerate_invariants(20):
+        action, cocycles = _pillowcase_data(inv.p, inv.q, inv.r)
+        b, bi = _random_basis(rng)
+        act = {g: _mat_mul(_mat_mul(b, m), bi) for g, m in action.items()}
+        shifted = {}
+        for g in ("u", "v"):
+            w = [rng.randint(-2, 2) for _ in range(3)]
+            shifted[g] = [a + c for a, c in zip(_mat_vec(b, cocycles[g]),
+                                                _coboundary(act[g], w))]
+        out.append((act, shifted))
+        w = [rng.randint(-2, 2) for _ in range(3)]
+        out.append((act, dict(shifted, u=[-x for x in
+                                          _coboundary(act["u"], w)])))
+        for g in ("u", "v"):
+            out.append((act, dict(shifted, **{g: [0, 0, 0]})))
+    return out
+
+
+def _involutions_2x2():
+    box = range(-1, 2)
+    ident = [[1, 0], [0, 1]]
+    return [m for m in ([[a, b], [c, d]]
+                        for a, b, c, d in itertools.product(box, repeat=4))
+            if _mat_mul(m, m) == ident]
+
+
+def _rank2_variants():
+    """Every pair of 2x2 involutions with entries in [-1, 1], with every
+    pair of cocycles in that box fixed by their actions."""
+    out = []
+    invs = _involutions_2x2()
+    fixed = [[list(v) for v in itertools.product(range(-1, 2), repeat=2)
+              if _mat_vec(m, v) == list(v)] for m in invs]
+    for i, j in itertools.product(range(len(invs)), repeat=2):
+        for su, sv in itertools.product(fixed[i], fixed[j]):
+            out.append(({"u": invs[i], "v": invs[j]}, {"u": su, "v": sv}))
+    return out
+
+
+def _group(action, cocycles):
+    n = len(action["u"])
+    return ExtensionGroup("Dinf", n, generators=("u", "v"), action=action,
+                          cocycles={g: tuple(v) for g, v in cocycles.items()})
+
+
+def _check_agrees(g, action, cocycles):
+    """The witness's letter, or None; checked against the oracle."""
+    n = g.rank
+    expect = oracles.dinf_involution_word(action, cocycles, n)
+    wit = g.find_torsion()
+    assert (wit is None) == (expect is None), (action, cocycles, wit)
+    if wit is not None:
+        # the reflections u and v carry every conjugacy class of them
+        assert list(wit.q) == expect and len(expect) == 1
+        assert oracles.dinf_is_involution(action, cocycles, list(wit.t),
+                                          wit.q[0], n)
+    return None if wit is None else wit.q[0]
+
+
+def test_find_torsion_agrees_with_word_search_on_pillowcase_data():
+    rng = random.Random(20260418)
+    found = [_check_agrees(_group(a, c), a, c)
+             for a, c in _pillowcase_variants(rng)]
+    # per invariant: torsion-free, torsion copy, zeroed s_u, zeroed s_v
+    assert found == [None, "u", "u", "v"] * 52
+
+
+def test_find_torsion_agrees_with_word_search_in_rank_two():
+    cases = _rank2_variants()
+    found = [_check_agrees(_group(a, c), a, c) for a, c in cases]
+    assert len({str(a) for a, _ in cases}) == 14 * 14
+    # both answers, and witnesses in both cosets
+    assert Counter(found) == {"u": 988, "v": 312, None: 144}
+
+
+def test_find_torsion_on_description_groups():
+    torsion = {"kind": "Dinf", "rank": 2, "lattice": ["a", "b"],
+               "generators": ["u", "v"],
+               "action": {"u": [[1, 0], [0, -1]], "v": [[-1, 0], [0, 1]]},
+               "cocycles": {"u": [1, 0]}}
+    sigma = catalog.sigma_group().to_description()
+    for d in (torsion, sigma):
+        action = d["action"]
+        cocycles = {g: d["cocycles"].get(g, [0, 0]) for g in ("u", "v")}
+        _check_agrees(from_description(d), action, cocycles)
+    wit = from_description(torsion).find_torsion()
+    assert wit.q == ("v",) and wit.t == (0, 0)
+    assert from_description(sigma).find_torsion() is None
+    # rank 0: every reflection is torsion; the witness is u
+    bare = from_description({"kind": "Dinf", "rank": 0,
+                             "generators": ["u", "v"],
+                             "action": {"u": None, "v": None}})
+    assert oracles.dinf_involution_word({}, {}, 0) == ["u"]
+    assert bare.find_torsion() == bare.element((), ("u",))
+    # rank 1: Z by Dinf with both squares the generator is torsion-free
+    one = {"u": [[1]], "v": [[1]]}
+    assert oracles.dinf_involution_word(one, {"u": [1], "v": [1]}, 1) \
+        is None
+    assert _group(one, {"u": [1], "v": [1]}).find_torsion() is None
+    assert _check_agrees(_group(one, {"u": [1], "v": [2]}), one,
+                         {"u": [1], "v": [2]}) == "v"
+
+
+def test_witness_that_is_not_an_involution_raises(monkeypatch):
+    # a wrong solve must not pass as a witness, also under python -O
+    monkeypatch.setattr(extensions, "solve_integer",
+                        lambda m, b: (1,) * len(b))
+    with pytest.raises(RuntimeError, match="does not square"):
+        catalog.pillowcase_group(3, 2, 4).find_torsion()

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from solgeom import verify
+from solgeom.extensions import ExtensionGroup
 from solgeom.gl2z import element_order
 from solgeom.intmat import IntMatrix
 from solgeom.verify import VerificationReport, run_suite
@@ -102,3 +103,34 @@ def test_single_thread_same_result(monkeypatch):
     assert serial.instances == parallel.instances
     assert serial.failures == parallel.failures
     assert serial.parameters == parallel.parameters
+
+
+def test_homology_catches_wrong_order_of_x(monkeypatch):
+    # doubling x, u and v keeps ord(u) = ord(v) = 2 ord(x); only the law
+    # ord(x) = gcd(p-1, q) sees the fault
+    orders = ExtensionGroup.h1_generator_orders
+
+    def wrong(self):
+        o = orders(self)
+        return dict(o, x=2 * o["x"], u=2 * o["u"], v=2 * o["v"])
+
+    monkeypatch.setattr(ExtensionGroup, "h1_generator_orders", wrong)
+    rep = run_suite("homology", max_entry=8)
+    assert not rep.ok
+    assert len(rep.failures) == rep.instances
+    assert all("gcd(p-1, q)" in f["expected"] for f in rep.failures)
+
+
+def test_homology_reports_each_invariant_once(monkeypatch):
+    seen = []
+    report = verify.homology_report
+
+    def counting(inv):
+        seen.append(inv)
+        return report(inv)
+
+    monkeypatch.setattr(verify, "homology_report", counting)
+    rep = run_suite("homology", max_entry=8)
+    assert rep.ok
+    assert sorted(seen, key=repr) == sorted(set(seen), key=repr)
+    assert len(seen) == rep.instances
