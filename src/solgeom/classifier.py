@@ -16,9 +16,9 @@ from .extensions import ExtensionGroup, FpPresentation
 from .intmat import (
     IntMatrix,
     IntVector,
-    _solve_rows,
     kernel_basis,
     saturation,
+    solve_integer,
 )
 
 
@@ -203,7 +203,7 @@ def _restrict(m: IntMatrix, basis: list[IntVector]) -> IntMatrix:
     rows = [[vec[i] for vec in basis] for i in range(m.n)]
     cols = []
     for vec in basis:
-        sol = _solve_rows(rows, m.apply(vec))
+        sol = solve_integer(rows, m.apply(vec))
         if sol is None:
             raise InvariantError("action does not preserve the sublattice")
         cols.append(sol)

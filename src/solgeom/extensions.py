@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
@@ -24,18 +25,19 @@ from typing import NamedTuple
 from .intmat import (
     IntMatrix,
     IntVector,
-    _kernel_rows,
-    _snf_rows,
-    _solve_rows,
     is_zero_vector,
+    kernel_basis,
+    smith_rows,
     solve_integer,
     vec_add,
     vec_neg,
     vec_sub,
 )
 
-# search ceiling for finite-order actions when hunting central quotient words
-ACTION_ORDER_BOUND = 24
+# L(n) for n = 1..8: the lcm of the finite orders in GL(n,Z), which is the
+# product over primes p of the largest p^k with phi(p^k) <= n (the
+# crystallographic restriction)
+_ORDER_EXPONENT = (2, 12, 12, 120, 120, 2520, 2520, 5040)
 
 
 class QuotientKind(enum.Enum):
@@ -115,9 +117,6 @@ class FpPresentation:
                 if exp == 0:
                     raise ValueError("zero exponent in relator")
 
-    def relator_strings(self) -> list[str]:
-        return [render_word(r) for r in self.relators]
-
 
 class _H1Data(NamedTuple):
     gens: tuple[str, ...]
@@ -195,13 +194,14 @@ class ExtensionGroup:
                                  f"none")
         self.square_cocycle = {}
         for g in self._involutive_generators():
-            v = tuple(cocycles.get(g, (0,) * rank))
+            v = tuple(map(operator.index, cocycles.get(g, (0,) * rank)))
             if len(v) != rank:
                 raise ValueError(f"cocycle of {g!r} has wrong length")
             self.square_cocycle[g] = v
         self.comm_cocycle = None
         if self.kind is QuotientKind.ZXC2:
-            v = tuple(cocycles.get(self.generators[0], (0,) * rank))
+            v = tuple(map(operator.index,
+                          cocycles.get(self.generators[0], (0,) * rank)))
             if len(v) != rank:
                 raise ValueError("commutator cocycle has wrong length")
             self.comm_cocycle = v
@@ -318,9 +318,6 @@ class ExtensionGroup:
     def identity(self) -> GroupElement:
         return self.element((0,) * self.rank)
 
-    def lattice_element(self, t) -> GroupElement:
-        return self.element(t)
-
     def generator_element(self, name) -> GroupElement:
         zero = (0,) * self.rank
         if name not in self.generators:
@@ -393,10 +390,6 @@ class ExtensionGroup:
         if self.rank == 0:
             return ()
         return self._word_matrix(q).apply(vec)
-
-    def word_action(self, a: GroupElement) -> IntMatrix | None:
-        """Conjugation action of a on the lattice."""
-        return self._word_matrix(a.q)
 
     # -- collection ---------------------------------------------------------
 
@@ -635,7 +628,7 @@ class ExtensionGroup:
         gens, rows = self._relator_matrix_rows()
         if not gens:
             return _H1Data(gens, rows, 0, (), [], 0, [])
-        w = _snf_rows(rows)
+        w = smith_rows(rows)
         nr = len(rows)
         rank = sum(1 for i in range(min(nr, len(rows[0])))
                    if w.s[i][i] != 0)
@@ -740,7 +733,9 @@ class ExtensionGroup:
         witnesses = (self.generator_elements()
                      + self.lattice_basis_elements())
         for z in gens:
-            assert all(self.commute(z, w) for w in witnesses)
+            if not all(self.commute(z, w) for w in witnesses):
+                raise RuntimeError(f"central candidate {z} does not commute "
+                                   f"with every generator")
         rank = len(lat_vectors) + sum(1 for z in extras
                                       if not self.is_torsion(z))
         return CenterDescription(rank=rank, generators=tuple(gens))
@@ -755,7 +750,7 @@ class ExtensionGroup:
         for g in self.generators:
             diff = self.action[g] - ident
             stacked.extend(list(r) for r in diff.rows)
-        return _kernel_rows(stacked)
+        return kernel_basis(stacked)
 
     def _central_quotient_generators(self):
         """Candidate central elements with nontrivial quotient word, solved
@@ -789,16 +784,20 @@ class ExtensionGroup:
         return out
 
     def _finite_action_order(self, g, even_only=False):
-        """Least positive (even, if asked) k with action(g)^k = I, or None."""
+        """Least positive (even, if asked) k with action(g)^k = I, or None.
+
+        Exact: every finite order in GL(n,Z) divides L(n), so A has finite
+        order iff A^L(n) = I, one power by repeated squaring.
+        """
         if self.rank == 0:
             return 2 if even_only else 1
         a = self.action[g]
-        acc = a
-        for k in range(1, ACTION_ORDER_BOUND + 1):
-            if acc.is_identity() and not (even_only and k % 2):
-                return k
-            acc = acc * a
-        return None
+        if not (a ** _ORDER_EXPONENT[self.rank - 1]).is_identity():
+            return None
+        k, acc = 1, a
+        while not acc.is_identity():
+            k, acc = k + 1, acc * a
+        return 2 * k if even_only and k % 2 else k
 
     def _solve_central_in_coset(self, q) -> GroupElement | None:
         """A central element (t, q) if the commutation equations admit an
@@ -822,7 +821,7 @@ class ExtensionGroup:
             diff = self.action[g] - ident
             stacked.extend(list(r) for r in diff.rows)
             rhs.extend(vec_neg(conj.t))
-        sol = _solve_rows(stacked, rhs) if stacked else (0,) * self.rank
+        sol = solve_integer(stacked, rhs) if stacked else (0,) * self.rank
         if sol is None:
             return None
         return self.element(sol, q)
@@ -840,7 +839,7 @@ class ExtensionGroup:
             return [e.t for e in self.lattice_basis_elements()]
         rows = [[p[j][i] for i in range(self.rank)]
                 for j in range(rank, nr)]
-        return _kernel_rows(rows)
+        return kernel_basis(rows)
 
     # -- serialization ------------------------------------------------------
 
@@ -891,6 +890,8 @@ def _check_description_shape(d) -> None:
     arrays of integers.  Tuples pass as arrays."""
     if not isinstance(d, dict):
         raise ValueError("group description must be a JSON object")
+    if d.get("name") is not None and not isinstance(d["name"], str):
+        raise ValueError("description field 'name' must be a string")
 
     def array_of(v, ok):
         return isinstance(v, (list, tuple)) and all(ok(x) for x in v)

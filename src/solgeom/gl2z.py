@@ -6,8 +6,8 @@ element is the single test M^12 = I.  Every finite-order element other than
 pair sharing an order profile (the two det = -1 involution classes) is
 separated by reduction mod 2.
 
-Conjugacy and centralizer searches are bounded box scans: fine at desk scale,
-documented as incomplete beyond their bound.
+Conjugacy and centralizer searches share one bounded box scan: fine at desk
+scale, documented as incomplete beyond their bound.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .intmat import IntMatrix
 
-# word length used when deciding whether -I is expressible from generators
+# word length of monodromy_image_type's search for -I among the images
 MINUS_I_WORD_BOUND = 12
 
 
@@ -124,15 +124,9 @@ def finite_order_class(m: IntMatrix) -> FiniteOrderClass:
     return FiniteOrderClass.ORDER6
 
 
-def conjugate_in_gl2z(m: IntMatrix, n: IntMatrix,
-                      bound: int = 10) -> IntMatrix | None:
-    """Search for C in GL(2,Z) with C m C^-1 = n and entries within bound.
-
-    Exhaustive over the box, so a None only certifies absence of small
-    conjugators.  Checks C m = n C to avoid inverting every candidate.
-    """
-    _require_gl2(m)
-    _require_gl2(n)
+def _box_scan(m: IntMatrix, n: IntMatrix, bound: int):
+    """Yield every C in GL(2,Z) with entries within bound and C m = n C,
+    checked entrywise so that no candidate is inverted."""
     ma, mb, mc, md = m.rows[0][0], m.rows[0][1], m.rows[1][0], m.rows[1][1]
     na, nb, nc, nd = n.rows[0][0], n.rows[0][1], n.rows[1][0], n.rows[1][1]
     rng = range(-bound, bound + 1)
@@ -142,33 +136,29 @@ def conjugate_in_gl2z(m: IntMatrix, n: IntMatrix,
                 for d in rng:
                     if a * d - b * c not in (1, -1):
                         continue
-                    # C m == n C, entrywise
                     if (a * ma + b * mc == na * a + nb * c
                             and a * mb + b * md == na * b + nb * d
                             and c * ma + d * mc == nc * a + nd * c
                             and c * mb + d * md == nc * b + nd * d):
-                        return IntMatrix([[a, b], [c, d]])
-    return None
+                        yield IntMatrix([[a, b], [c, d]])
+
+
+def conjugate_in_gl2z(m: IntMatrix, n: IntMatrix,
+                      bound: int = 10) -> IntMatrix | None:
+    """Search for C in GL(2,Z) with C m C^-1 = n and entries within bound.
+
+    Exhaustive over the box, so a None only certifies absence of small
+    conjugators.
+    """
+    _require_gl2(m)
+    _require_gl2(n)
+    return next(_box_scan(m, n, bound), None)
 
 
 def centralizer_sample(m: IntMatrix, bound: int) -> list[IntMatrix]:
     """All C in GL(2,Z) with entries within bound commuting with m."""
     _require_gl2(m)
-    ma, mb, mc, md = m.rows[0][0], m.rows[0][1], m.rows[1][0], m.rows[1][1]
-    rng = range(-bound, bound + 1)
-    out = []
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    if a * d - b * c not in (1, -1):
-                        continue
-                    if (a * ma + b * mc == ma * a + mb * c
-                            and a * mb + b * md == ma * b + mb * d
-                            and c * ma + d * mc == mc * a + md * c
-                            and c * mb + d * md == mc * b + md * d):
-                        out.append(IntMatrix([[a, b], [c, d]]))
-    return out
+    return list(_box_scan(m, m, bound))
 
 
 class NotTwoEndedError(ValueError):
@@ -181,13 +171,14 @@ class TwoEndedType:
 
     case 1: <A>, A of infinite order
     case 2: <A> with -I adjoined
-    case 3: <A, B>, A^2 = B^2 = I, -I not detected
+    case 3: <A, B>, A^2 = B^2 = I, -I not in the group
     case 4: <A, B, -I>, A^2 = B^2 = I
     case 5: <A, B>, A^2 = -I, B^2 = I
     case 6: <A, B>, A^2 = B^2 = -I
 
-    minus_i_certain is False only in case 3, where -I was not found among
-    A^2, B^2 or (AB)^k for |k| <= 12 and is assumed absent at that bound.
+    has_minus_i is decided exactly in every case, so minus_i_certain is
+    always True.  In case 3, AB has infinite order, so <A, B> is infinite
+    dihedral; its centre is trivial, and -I, being central, is not in it.
     """
 
     case: int
@@ -242,17 +233,11 @@ def two_ended_type(generators: list[IntMatrix]) -> TwoEndedType:
         assert a * a == _MINUS_ID
         return TwoEndedType(5, (a, b), True, True)
 
-    # both involutions; -I can only appear as an explicit adjoint or as a
-    # power of AB within the search bound
+    # both involutions: (AB)^k = -I would give (AB)^2k = I, against the
+    # infinite order of AB, so -I is in the group only if adjoined
     if adjoined_minus:
         return TwoEndedType(4, (a, b), True, True)
-    ab = a * b
-    acc = ab
-    for _ in range(MINUS_I_WORD_BOUND):
-        if acc == _MINUS_ID:
-            return TwoEndedType(4, (a, b), True, True)
-        acc = acc * ab
-    return TwoEndedType(3, (a, b), False, False)
+    return TwoEndedType(3, (a, b), False, True)
 
 
 class MonodromyType(enum.Enum):

@@ -1,16 +1,17 @@
 """Exact integer linear algebra on small matrices.
 
 Everything here is done with Python's arbitrary-precision ints; no floats
-anywhere.  Matrices are square (dimension 1..8, working sizes 2 and 3) and
+anywhere.  IntMatrix is square (dimension 1..8, working sizes 2 and 3) and
 immutable.  The workhorse is Smith normal form with explicit unimodular
 transforms, from which solving, kernels, saturations and cokernels all fall
-out.
+out; those take an IntMatrix or any rectangular list of integer rows.
 
 Vectors are plain tuples of ints.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -32,10 +33,6 @@ def vec_sub(u: IntVector, v: IntVector) -> IntVector:
 
 def vec_neg(u: IntVector) -> IntVector:
     return tuple(-a for a in u)
-
-
-def vec_scale(k: int, u: IntVector) -> IntVector:
-    return tuple(k * a for a in u)
 
 
 def is_zero_vector(u: IntVector) -> bool:
@@ -85,7 +82,7 @@ class IntMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(operator.index, row)) for row in rows)
         n = len(rows)
         if n < 1 or n > MAX_DIM:
             raise ValueError(f"dimension {n} outside supported range 1..{MAX_DIM}")
@@ -283,9 +280,8 @@ def _adjugate_rows(rows: list[list[int]]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # Smith normal form
 #
-# The reduction below works on rectangular lists of lists so that internal
-# callers (stacked systems, relator matrices) can reuse it; the public API
-# wraps square IntMatrix inputs.  Row operations are mirrored into P and
+# The reduction works on rectangular lists of rows, so stacked systems and
+# relator matrices use it directly.  Row operations are mirrored into P and
 # P_inv, column operations into Q and Q_inv, so P*M*Q = S holds exactly and
 # the inverses come for free.
 
@@ -304,8 +300,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-class _SnfWork:
-    """Mutable state for the reduction: S plus the four transform matrices."""
+class SmithRows:
+    """Smith form of a rectangular matrix as lists of rows: S plus the four
+    transform matrices P, P_inv, Q, Q_inv."""
 
     def __init__(self, rows):
         self.s = [list(r) for r in rows]
@@ -395,13 +392,13 @@ class _SnfWork:
             row[i] = -row[i]
 
 
-def _snf_rows(rows) -> _SnfWork:
-    """Reduce a rectangular integer matrix to Smith form.
+def smith_rows(rows) -> SmithRows:
+    """Reduce a rectangular integer matrix, given as rows, to Smith form.
 
-    Returns the work object with S diagonal, nonnegative, each diagonal entry
-    dividing the next, and P*M*Q = S with P, Q unimodular.
+    S comes out diagonal, nonnegative, each diagonal entry dividing the
+    next, and P*M*Q = S with P, Q unimodular.
     """
-    w = _SnfWork(rows)
+    w = SmithRows(rows)
     s = w.s
     t = 0
     limit = min(w.nr, w.nc)
@@ -464,14 +461,6 @@ def _snf_rows(rows) -> _SnfWork:
         if s[i][i] < 0:
             w.negate_row(i)
     return w
-
-
-def _mul_rows(a, b):
-    if not a or not b:
-        return [[] for _ in a]
-    nr, inner, nc = len(a), len(b), len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(nc)]
-            for i in range(nr)]
 
 
 def lattice_basis(vectors: list[IntVector]) -> list[IntVector]:
@@ -539,34 +528,37 @@ class SmithDecomposition:
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form with transforms.
 
-    Postconditions (asserted): P*M*Q = S, diagonal entries nonnegative with
-    d1 | d2 | ... and zeros trailing, |det P| = |det Q| = 1.
+    Postconditions (RuntimeError if broken): P*M*Q = S, diagonal entries
+    nonnegative with d1 | d2 | ... and zeros trailing, |det P| = |det Q| = 1.
     """
-    w = _snf_rows(m.rows)
+    w = smith_rows(m.rows)
     s = IntMatrix(w.s)
     p = IntMatrix(w.p)
     q = IntMatrix(w.q)
-    assert p * m * q == s
-    assert p.is_unimodular() and q.is_unimodular()
     diag = [s.rows[i][i] for i in range(m.n)]
-    for i in range(m.n - 1):
-        assert diag[i] >= 0
-        if diag[i] == 0:
-            assert diag[i + 1] == 0
-        else:
-            assert diag[i + 1] % diag[i] == 0
+    if (p * m * q != s or not (p.is_unimodular() and q.is_unimodular())
+            or any(d < 0 for d in diag)
+            or any(diag[i + 1] % diag[i] if diag[i] else diag[i + 1]
+                   for i in range(m.n - 1))):
+        raise RuntimeError(f"Smith form of {m!r} breaks its postconditions")
     return SmithDecomposition(s=s, p=p, q=q)
 
 
-def _solve_rows(rows, b):
-    """Solve M x = b over the integers for a rectangular M; None if no solution."""
+def _rows(m):
+    return m.rows if isinstance(m, IntMatrix) else m
+
+
+def solve_integer(m, b: IntVector) -> IntVector | None:
+    """One integer solution of M x = b, or None if none exists.  M is an
+    IntMatrix or a rectangular list of integer rows."""
+    rows = _rows(m)
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     if len(b) != nr:
         raise ValueError("dimension mismatch")
     if nc == 0:
         return () if all(x == 0 for x in b) else None
-    w = _snf_rows(rows)
+    w = smith_rows(rows)
     c = [sum(w.p[i][k] * b[k] for k in range(nr)) for i in range(nr)]
     y = [0] * nc
     for i in range(nr):
@@ -581,38 +573,29 @@ def _solve_rows(rows, b):
     return tuple(sum(w.q[i][k] * y[k] for k in range(nc)) for i in range(nc))
 
 
-def _kernel_rows(rows) -> list[IntVector]:
-    """Basis of the integer kernel of a rectangular matrix (primitive columns of Q)."""
+def in_image(m, b: IntVector) -> bool:
+    return solve_integer(m, b) is not None
+
+
+def kernel_basis(m) -> list[IntVector]:
+    """Basis of the integer kernel of M (an IntMatrix or rectangular rows).
+
+    The basis vectors are primitive, jointly completable to a lattice basis
+    (they are columns of a unimodular matrix), and sign-normalized so the
+    first nonzero coordinate is positive.
+    """
+    rows = _rows(m)
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     if nc == 0:
         return []
-    w = _snf_rows(rows)
+    w = smith_rows(rows)
     out = []
     for j in range(nc):
         d = w.s[j][j] if j < nr else 0
         if d == 0:
             out.append(tuple(w.q[i][j] for i in range(nc)))
     return lattice_basis(out)
-
-
-def solve_integer(m: IntMatrix, b: IntVector) -> IntVector | None:
-    """One integer solution of M x = b, or None if none exists."""
-    return _solve_rows([list(r) for r in m.rows], list(b))
-
-
-def in_image(m: IntMatrix, b: IntVector) -> bool:
-    return solve_integer(m, b) is not None
-
-
-def kernel_basis(m: IntMatrix) -> list[IntVector]:
-    """Basis of ker(M) on Z^n.
-
-    The basis vectors are primitive, jointly completable to a lattice basis
-    (they are columns of a unimodular matrix), and sign-normalized so the
-    first nonzero coordinate is positive.
-    """
-    return _kernel_rows([list(r) for r in m.rows])
 
 
 def saturation(vectors: list[IntVector]) -> list[IntVector]:
@@ -629,7 +612,7 @@ def saturation(vectors: list[IntVector]) -> list[IntVector]:
         if len(v) != n:
             raise ValueError("mixed dimensions")
     rows = [[v[i] for v in vectors] for i in range(n)]  # columns = vectors
-    w = _snf_rows(rows)
+    w = smith_rows(rows)
     rank = sum(1 for i in range(min(n, len(vectors))) if w.s[i][i] != 0)
     out = [tuple(w.p_inv[r][i] for r in range(n)) for i in range(rank)]
     return lattice_basis(out)
@@ -643,7 +626,7 @@ def lattice_index_in_saturation(vectors: list[IntVector]) -> int:
         return 1
     n = len(vectors[0])
     rows = [[v[i] for v in vectors] for i in range(n)]
-    w = _snf_rows(rows)
+    w = smith_rows(rows)
     idx = 1
     for i in range(min(n, len(vectors))):
         if w.s[i][i] != 0:
@@ -651,21 +634,19 @@ def lattice_index_in_saturation(vectors: list[IntVector]) -> int:
     return idx
 
 
-def cokernel_invariants(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
-    """Free rank and torsion coefficients of Z^n / im(M).
+def cokernel_invariants(m) -> tuple[int, tuple[int, ...]]:
+    """Free rank and torsion coefficients of Z^r / im(M), for M an IntMatrix
+    or a rectangular list of r integer rows.
 
     Torsion coefficients are the diagonal entries > 1, listed in divisibility
     order.
     """
-    return _cokernel_rows([list(r) for r in m.rows])
-
-
-def _cokernel_rows(rows) -> tuple[int, tuple[int, ...]]:
+    rows = _rows(m)
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     if nc == 0:
         return nr, ()
-    w = _snf_rows(rows)
+    w = smith_rows(rows)
     diag = [w.s[i][i] if i < nc else 0 for i in range(nr)]
     free = sum(1 for d in diag if d == 0)
     torsion = tuple(d for d in diag if d > 1)

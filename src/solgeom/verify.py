@@ -1,15 +1,13 @@
 """Brute-force property sweeps behind the `verify` command.
 
-Each suite fans instances out over a worker pool (capped by the
-SOLFOUR_THREADS environment variable), collects failure records, and
-merges them deterministically sorted by instance key.  A report with no
+Each suite runs one check over its instances in turn, collects the
+failure records and sorts them by instance key.  A report with no
 failures maps to exit code 0.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -36,8 +34,6 @@ from .gl2z import (
 )
 from .intmat import IntMatrix, solve_integer
 
-THREADS_ENV = "SOLFOUR_THREADS"
-
 
 @dataclass
 class VerificationReport:
@@ -63,34 +59,11 @@ class VerificationReport:
         }
 
 
-def worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return min(os.cpu_count() or 1, 8)
-
-
-def _pmap(fn, items):
-    items = list(items)
-    workers = worker_count()
-    if workers == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    # imported on first use: only the suites need it, and it adds about
-    # 1 MB to every process that imports solgeom
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _run(suite: str, instances, check, parameters: dict,
          notes=None) -> VerificationReport:
     start = time.perf_counter()
     instances = list(instances)
-    results = _pmap(check, instances)
-    failures = [r for r in results if r is not None]
+    failures = [r for r in map(check, instances) if r is not None]
     failures.sort(key=lambda f: str(f.get("input")))
     elapsed = time.perf_counter() - start
     if notes:
@@ -175,7 +148,14 @@ def _mat(t):
     return IntMatrix([[t[0], t[1]], [t[2], t[3]]])
 
 
-def _check_two_ended_pair(inst):
+def _check_two_ended(inst):
+    if isinstance(inst[1], int):
+        # one of the _SYNTHETIC_PAIRS: (generators, expected case)
+        gens, expected = inst
+        typed = two_ended_type([_mat(t) for t in gens])
+        if typed.case != expected:
+            return _fail(gens, f"case {expected}", f"case {typed.case}")
+        return None
     ta, tb = inst
     a, b = _mat(ta), _mat(tb)
     try:
@@ -204,20 +184,8 @@ def run_two_ended(box: int = 3) -> VerificationReport:
     finite = [t for t in _unimodular_tuples(box)
               if element_order(_mat(t)) is not None]
     pairs = [(ta, tb) for ta in finite for tb in finite]
-
-    start = time.perf_counter()
-    results = _pmap(_check_two_ended_pair, pairs)
-    failures = [r for r in results if r is not None]
-    for gens, expected in _SYNTHETIC_PAIRS:
-        mats = [_mat(t) for t in gens]
-        typed = two_ended_type(mats)
-        if typed.case != expected:
-            failures.append(_fail(gens, f"case {expected}",
-                                  f"case {typed.case}"))
-    failures.sort(key=lambda f: str(f.get("input")))
-    elapsed = time.perf_counter() - start
-    return VerificationReport("two-ended", len(pairs) + len(_SYNTHETIC_PAIRS),
-                              failures, elapsed, {"box": box})
+    return _run("two-ended", pairs + list(_SYNTHETIC_PAIRS), _check_two_ended,
+                {"box": box})
 
 
 # ---------------------------------------------------------------------------

@@ -189,10 +189,14 @@ def test_homology_against_minor_gcd_oracle():
 
 # The gate sees a pillowcase group whose v-cocycle is zeroed, so the group
 # has torsion; it must refuse it with InvariantError even under python -O.
+# Two more library gates must raise RuntimeError there too: the Smith form
+# postconditions, seen through a faulty matrix product, and the check that
+# every center generator commutes, fed a generator of D-infinity.
 _GATE_SCRIPT = textwrap.dedent("""
     import sys
     from solgeom import catalog, classifier
-    from solgeom.extensions import from_description
+    from solgeom.extensions import ExtensionGroup, from_description
+    from solgeom.intmat import IntMatrix, smith_normal_form
 
     build = catalog.pillowcase_group
 
@@ -211,6 +215,25 @@ _GATE_SCRIPT = textwrap.dedent("""
             print(exc)
         else:
             sys.exit(1)
+
+    mul = IntMatrix.__mul__
+    IntMatrix.__mul__ = lambda a, b: mul(a, b) + IntMatrix.identity(a.n)
+    try:
+        smith_normal_form(IntMatrix([[2, 0], [0, 4]]))
+    except RuntimeError as exc:
+        print(exc)
+    else:
+        sys.exit(1)
+    IntMatrix.__mul__ = mul
+
+    ExtensionGroup._central_quotient_generators = \
+        lambda self: [self.generator_element("u")]
+    try:
+        catalog.dinf_group().center()
+    except RuntimeError as exc:
+        print(exc)
+    else:
+        sys.exit(1)
     sys.exit(0 if sys.flags.optimize else 3)
 """)
 
@@ -224,6 +247,8 @@ def test_torsion_gate_raises_under_optimize():
                           timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 4
     assert all("torsion element" in line and "word=('v',)" in line
-               for line in lines)
+               for line in lines[:2])
+    assert "breaks its postconditions" in lines[2]
+    assert "does not commute" in lines[3]

@@ -269,6 +269,8 @@ def test_torsion_rejects_bound_below_one(capsys, bound):
     ("center", {"kind": "Zq", "rank": 1, "lattice": [["a"]],
                 "generators": ["s"], "action": {"s": [[1]]}},
      "array of names"),
+    ("h1", {"kind": "Zq", "rank": 1, "generators": ["s"],
+            "action": {"s": [[-1]]}, "name": [1]}, "'name' must be a string"),
 ])
 def test_malformed_description_is_one_error_document(capsys, tmp_path,
                                                      command, payload,

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+from math import gcd, lcm
 
+import numpy as np
 import pytest
 
 import oracles
-from solgeom import catalog
+from solgeom import catalog, extensions
 from solgeom.extensions import (
     ExtensionGroup,
     GroupElement,
@@ -230,6 +232,28 @@ def is_central(g, a):
     return all(g.commute(a, h) for h in tests)
 
 
+def test_center_of_rank_six_zq():
+    # blockdiag(C(Phi6), C(Phi5)) has order 30: s^30 is central, and no
+    # search bounded by an order below 30 can find it
+    c6 = [[0, -1], [1, 1]]
+    c5 = [[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]
+    action = [r + [0] * 4 for r in c6] + [[0] * 2 + r for r in c5]
+    g = ExtensionGroup("Zq", 6, generators=("s",), action={"s": action})
+    c = g.center()
+    assert c.rank == 1
+    assert c.generators == (g.element((0,) * 6, 30),)
+
+
+def test_order_exponent_table():
+    # L(n) is the lcm of every m with phi(m) <= n: the companion matrix of
+    # the m-th cyclotomic polynomial has order m in dimension phi(m)
+    def phi(m):
+        return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+
+    for n, expected in enumerate(extensions._ORDER_EXPONENT, start=1):
+        assert expected == lcm(*[m for m in range(1, 200) if phi(m) <= n])
+
+
 def test_center_complete_on_small_elements():
     cases = [
         (catalog.pillowcase_group(3, 2, 4),
@@ -343,6 +367,22 @@ def test_description_round_trip():
         assert h.action == g.action
         assert h.square_cocycle == g.square_cocycle
         assert h.abelianization() == g.abelianization()
+
+
+def test_cocycles_must_be_integers():
+    # a float cocycle is refused, not truncated
+    with pytest.raises(TypeError):
+        ExtensionGroup("C2", 1, generators=("u",), action={"u": [[1]]},
+                       cocycles={"u": (0.5,)})
+    with pytest.raises(TypeError):
+        ExtensionGroup("ZxC2", 1, generators=("s", "g"),
+                       action={"s": [[1]], "g": [[-1]]},
+                       cocycles={"s": (0.5,)})
+    # numpy integers pass and are stored as plain ints
+    g = ExtensionGroup("C2", 1, generators=("u",), action={"u": [[1]]},
+                       cocycles={"u": np.array([2], dtype=np.int64)})
+    assert g.square_cocycle["u"] == (2,)
+    assert type(g.square_cocycle["u"][0]) is int
 
 
 def test_validation_rejections():

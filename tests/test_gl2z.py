@@ -179,7 +179,7 @@ def test_two_ended_case3():
     assert a2 * b2 == IntMatrix([[17, 24], [12, 17]])
     assert element_order(a2 * b2) is None
     assert not t.has_minus_i
-    assert not t.minus_i_certain  # absence only assumed at the word bound
+    assert t.minus_i_certain  # D-infinity has trivial centre, so no -I
     # swapping generators: still case 3, product inverts
     s = two_ended_type([b, REFL])
     assert s.case == 3

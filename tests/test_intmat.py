@@ -7,6 +7,7 @@ are reproducible.
 
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -87,6 +88,20 @@ def test_dimension_guard():
         IntMatrix([[1] * 9] * 9)
     with pytest.raises(ValueError):
         IntMatrix([[1, 2]])
+
+
+def test_entries_must_be_integers():
+    # a float entry is refused, not truncated
+    with pytest.raises(TypeError):
+        IntMatrix([[1.5]])
+    with pytest.raises(TypeError):
+        IntMatrix([[1, 0], [0, 1.0]])
+    # numpy integers and bools pass and are stored as plain ints
+    m = IntMatrix(np.array([[2, 1], [1, 1]], dtype=np.int64))
+    assert m == IntMatrix([[2, 1], [1, 1]])
+    assert all(type(x) is int for row in m.rows for x in row)
+    b = IntMatrix([[True, False], [False, True]])
+    assert b == I2 and b.literal() == "1,0;0,1"
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +291,26 @@ def test_cokernel_examples():
     assert cokernel_invariants(PSI - I2) == (0, (2, 2))
     assert cokernel_invariants(IntMatrix([[0]])) == (1, ())
     assert cokernel_invariants(IntMatrix.identity(3)) == (0, ())
+
+
+def test_rectangular_rows():
+    # lists of rows give the same answers as the square IntMatrix ...
+    m = PSI - I2
+    rows = m.to_lists()
+    assert solve_integer(rows, (2, 4)) == solve_integer(m, (2, 4))
+    assert kernel_basis(rows) == kernel_basis(m)
+    assert cokernel_invariants(rows) == cokernel_invariants(m)
+    # ... and need not be square
+    wide = [[2, 0, 4], [0, 3, 0]]
+    x = solve_integer(wide, (6, 3))
+    assert [sum(a * b for a, b in zip(r, x)) for r in wide] == [6, 3]
+    assert solve_integer(wide, (1, 0)) is None
+    assert kernel_basis(wide) == [(2, 0, -1)]
+    assert cokernel_invariants(wide) == (0, (6,))
+    tall = [[1], [2]]
+    assert solve_integer(tall, (1, 3)) is None
+    assert kernel_basis(tall) == []
+    assert cokernel_invariants(tall) == (1, ())
 
 
 def test_cokernel_matches_minor_oracle():

@@ -1,6 +1,6 @@
 """Suite runner checks: every shipped suite is green at its default
-bounds, reports serialize to the documented shape, and the worker pool
-honors the SOLFOUR_THREADS override."""
+bounds, reports serialize to the documented shape, and failures are sorted
+by instance key."""
 
 import pytest
 
@@ -82,27 +82,6 @@ def test_homology_note_records_split():
     rep = run_suite("homology")
     notes = rep.parameters["notes"]
     assert len(notes) == 1 and "24 of 52" in notes[0]
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv(verify.THREADS_ENV, "3")
-    assert verify.worker_count() == 3
-    monkeypatch.setenv(verify.THREADS_ENV, "0")
-    assert verify.worker_count() == 1
-    monkeypatch.setenv(verify.THREADS_ENV, "not-a-number")
-    assert verify.worker_count() >= 1
-    monkeypatch.delenv(verify.THREADS_ENV)
-    assert verify.worker_count() >= 1
-
-
-def test_single_thread_same_result(monkeypatch):
-    parallel = run_suite("homology")
-    monkeypatch.setenv(verify.THREADS_ENV, "1")
-    serial = run_suite("homology")
-    assert serial.ok == parallel.ok
-    assert serial.instances == parallel.instances
-    assert serial.failures == parallel.failures
-    assert serial.parameters == parallel.parameters
 
 
 def test_homology_catches_wrong_order_of_x(monkeypatch):
