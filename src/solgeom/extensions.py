@@ -552,6 +552,11 @@ class ExtensionGroup:
         if self.kind is not QuotientKind.DINF:
             raise ValueError("torsion search is defined for Dinf extensions "
                              "only")
+        return self._torsion_witness
+
+    @cached_property
+    def _torsion_witness(self) -> GroupElement | None:
+        """find_torsion's answer, decided once per group."""
         if self.rank == 0:
             return self.element((), (self.generators[0],))
         ident = IntMatrix.identity(self.rank)

@@ -1,10 +1,11 @@
 """Finite-order structure and two-ended subgroups of GL(2,Z).
 
-Finite orders in GL(2,Z) are exactly 1, 2, 3, 4, 6, so finiteness of an
-element is the single test M^12 = I.  Every finite-order element other than
-+-I is conjugate to exactly one of five canonical representatives; the only
-pair sharing an order profile (the two det = -1 involution classes) is
-separated by reduction mod 2.
+Finite orders in GL(2,Z) are exactly 1, 2, 3, 4, 6.  By Cayley-Hamilton,
+M^2 = (tr M) M - (det M) I, so the order of M is read off its determinant
+and trace, plus one check for +-I (Newman, Integral Matrices, 1972).  Every
+finite-order element other than +-I is conjugate to exactly one of five
+canonical representatives; the only pair sharing an order profile (the two
+det = -1 involution classes) is separated by reduction mod 2.
 
 Conjugacy and centralizer searches share one bounded box scan: fine at desk
 scale, documented as incomplete beyond their bound.
@@ -75,25 +76,40 @@ _ID = IntMatrix.identity(2)
 _MINUS_ID = -_ID
 
 
-def _require_gl2(m: IntMatrix) -> None:
+def _require_gl2(m: IntMatrix) -> int:
+    """The determinant of m, after checking that m is in GL(2,Z)."""
     if m.n != 2:
         raise ValueError("expected a 2x2 matrix")
-    if m.det() not in (1, -1):
-        raise ValueError(f"matrix with det {m.det()} is not in GL(2,Z)")
+    d = m.det()
+    if d not in (1, -1):
+        raise ValueError(f"matrix with det {d} is not in GL(2,Z)")
+    return d
+
+
+# order of a det-1 element by its trace, for |trace| < 2: the characteristic
+# polynomial x^2 - t x + 1 is then cyclotomic of order 6, 4 or 3
+_ELLIPTIC_ORDERS = {1: 6, 0: 4, -1: 3}
 
 
 def element_order(m: IntMatrix) -> int | None:
     """Order of m in GL(2,Z); None for infinite order.
 
-    Finite orders all divide 12, so twelve multiplications settle it.
+    Exact from det and trace.  det -1: M^2 = (tr M) M + I, which is I for
+    trace 0; otherwise x^2 - t x - 1 has the irrational roots
+    (t +- sqrt(t^2 + 4))/2, so M has infinite order.  det 1 with
+    |trace| > 2 is hyperbolic and with |trace| = 2 parabolic unless M = +-I,
+    both of infinite order; |trace| < 2 gives order 6, 4 or 3.
     """
-    _require_gl2(m)
-    acc = m
-    for k in range(1, 13):
-        if acc == _ID:
-            return k
-        acc = acc * m
-    return None
+    d = _require_gl2(m)
+    (a, b), (c, e) = m.rows
+    t = a + e
+    if d == -1:
+        return 2 if t == 0 else None
+    if t in (2, -2):
+        if b == 0 and c == 0:  # then a = e = t/2, so M = +-I
+            return 1 if t == 2 else 2
+        return None
+    return _ELLIPTIC_ORDERS.get(t)
 
 
 def finite_order_class(m: IntMatrix) -> FiniteOrderClass:
@@ -111,8 +127,7 @@ def finite_order_class(m: IntMatrix) -> FiniteOrderClass:
     if order == 2:
         if m == _MINUS_ID:
             return FiniteOrderClass.MINUS_IDENTITY
-        # any other involution has eigenvalues +1, -1, hence det -1
-        assert m.det() == -1
+        # any other involution has det -1: with det 1, only -I has order 2
         if m.mod(2) == _ID.mod(2):
             return FiniteOrderClass.REFLECTION
         return FiniteOrderClass.SWAP
@@ -120,8 +135,7 @@ def finite_order_class(m: IntMatrix) -> FiniteOrderClass:
         return FiniteOrderClass.ORDER3
     if order == 4:
         return FiniteOrderClass.ORDER4
-    assert order == 6
-    return FiniteOrderClass.ORDER6
+    return FiniteOrderClass.ORDER6  # the last finite order left
 
 
 def _box_scan(m: IntMatrix, n: IntMatrix, bound: int):
@@ -226,11 +240,10 @@ def two_ended_type(generators: list[IntMatrix]) -> TwoEndedType:
         a, b = b, a
         order_a, order_b = order_b, order_a
 
+    # order 4 forces det 1 and trace 0, so A^2 = -I by Cayley-Hamilton
     if order_a == 4 and order_b == 4:
-        assert a * a == _MINUS_ID and b * b == _MINUS_ID
         return TwoEndedType(6, (a, b), True, True)
     if order_a == 4:
-        assert a * a == _MINUS_ID
         return TwoEndedType(5, (a, b), True, True)
 
     # both involutions: (AB)^k = -I would give (AB)^2k = I, against the

@@ -77,6 +77,8 @@ class IntMatrix:
 
     Stored as a tuple of row tuples.  Supports *, +, -, ** with exact
     arithmetic; hashable so matrices can live in sets during orbit searches.
+    The constructor checks outside input; results of IntMatrix arithmetic,
+    built from entries that are already ints, go through _trusted instead.
     """
 
     __slots__ = ("n", "rows")
@@ -99,7 +101,11 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        try:
+            return _IDENTITIES[operator.index(n)]
+        except KeyError:
+            raise ValueError(f"dimension {n} outside supported range "
+                             f"1..{MAX_DIM}") from None
 
     @classmethod
     def zero(cls, n: int) -> "IntMatrix":
@@ -137,29 +143,47 @@ class IntMatrix:
     def __mul__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        a, b = self.rows, other.rows
         n = self.n
-        return IntMatrix(
-            [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-             for i in range(n)]
-        )
+        if other.n != n:
+            raise ValueError("dimension mismatch")
+        if n == 2:
+            (a, b), (c, d) = self.rows
+            (e, f), (g, h) = other.rows
+            return _trusted(((a * e + b * g, a * f + b * h),
+                             (c * e + d * g, c * f + d * h)), 2)
+        if n == 3:
+            (a, b, c), (d, e, f), (g, h, i) = self.rows
+            (j, k, l), (m, o, p), (q, r, s) = other.rows
+            return _trusted(((a * j + b * m + c * q, a * k + b * o + c * r,
+                              a * l + b * p + c * s),
+                             (d * j + e * m + f * q, d * k + e * o + f * r,
+                              d * l + e * p + f * s),
+                             (g * j + h * m + i * q, g * k + h * o + i * r,
+                              g * l + h * p + i * s)), 3)
+        cols = tuple(zip(*other.rows))
+        return _trusted(tuple(tuple(sum(x * y for x, y in zip(row, col))
+                                    for col in cols)
+                              for row in self.rows), n)
 
     def __add__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return IntMatrix([[x + y for x, y in zip(r, s)]
-                          for r, s in zip(self.rows, other.rows)])
+        if other.n != self.n:
+            raise ValueError("dimension mismatch")
+        return _trusted(tuple(tuple(x + y for x, y in zip(r, s))
+                              for r, s in zip(self.rows, other.rows)), self.n)
 
     def __sub__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return IntMatrix([[x - y for x, y in zip(r, s)]
-                          for r, s in zip(self.rows, other.rows)])
+        if other.n != self.n:
+            raise ValueError("dimension mismatch")
+        return _trusted(tuple(tuple(x - y for x, y in zip(r, s))
+                              for r, s in zip(self.rows, other.rows)), self.n)
 
     def __neg__(self):
-        return IntMatrix([[-x for x in row] for row in self.rows])
+        return _trusted(tuple(tuple(-x for x in row) for row in self.rows),
+                        self.n)
 
     def __pow__(self, k: int) -> "IntMatrix":
         if k < 0:
@@ -183,6 +207,14 @@ class IntMatrix:
     # queries ---------------------------------------------------------------
 
     def det(self) -> int:
+        n = self.n
+        if n == 2:
+            (a, b), (c, d) = self.rows
+            return a * d - b * c
+        if n == 3:
+            (a, b, c), (d, e, f), (g, h, i) = self.rows
+            return (a * (e * i - f * h) - b * (d * i - f * g)
+                    + c * (d * h - e * g))
         return _det_rows([list(r) for r in self.rows])
 
     def is_unimodular(self) -> bool:
@@ -192,18 +224,20 @@ class IntMatrix:
         return self == IntMatrix.identity(self.n)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self.rows[j][i] for j in range(self.n)]
-                          for i in range(self.n)])
+        return _trusted(tuple(zip(*self.rows)), self.n)
 
     def inverse(self) -> "IntMatrix":
         """Exact inverse; defined only when det = +-1."""
         d = self.det()
         if d not in (1, -1):
             raise ValueError(f"matrix with det {d} has no integer inverse")
+        # 1/d = d, so the inverse is d times the adjugate
+        if self.n == 2:
+            (a, b), (c, e) = self.rows
+            return _trusted(((d * e, -d * b), (-d * c, d * a)), 2)
         adj = _adjugate_rows([list(r) for r in self.rows])
-        if d == -1:
-            adj = [[-x for x in row] for row in adj]
-        return IntMatrix(adj)
+        return _trusted(tuple(tuple(d * x for x in row) for row in adj),
+                        self.n)
 
     def column(self, j: int) -> IntVector:
         return tuple(self.rows[i][j] for i in range(self.n))
@@ -233,6 +267,24 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.literal()!r})"
+
+
+def _trusted(rows: tuple, n: int) -> IntMatrix:
+    """An IntMatrix from n row tuples of n ints each, taken as they are.
+
+    Only for results of IntMatrix arithmetic: their entries are sums and
+    products of stored entries, which are already ints, so none of the
+    constructor's checks can fail.
+    """
+    m = object.__new__(IntMatrix)
+    object.__setattr__(m, "n", n)
+    object.__setattr__(m, "rows", rows)
+    return m
+
+
+_IDENTITIES = {n: _trusted(tuple(tuple(int(i == j) for j in range(n))
+                                 for i in range(n)), n)
+               for n in range(1, MAX_DIM + 1)}
 
 
 def _det_rows(rows: list[list[int]]) -> int:
@@ -354,25 +406,22 @@ class SmithRows:
                            zip(self.q_inv[src], self.q_inv[dst])]
 
     def combine_rows(self, i, j, x, y, u, v):
-        # [row_i; row_j] <- [[x, y], [u, v]] * [row_i; row_j], det(xv-yu) = +-1
-        d = x * v - y * u
-        assert d in (1, -1)
+        # [row_i; row_j] <- [[x, y], [u, v]] * [row_i; row_j]; every caller
+        # passes (x, y, -b/g, a/g) with x a + y b = g, so x v - y u = 1
         ri, rj = self.s[i], self.s[j]
         self.s[i] = [x * a + y * b for a, b in zip(ri, rj)]
         self.s[j] = [u * a + v * b for a, b in zip(ri, rj)]
         pi, pj = self.p[i], self.p[j]
         self.p[i] = [x * a + y * b for a, b in zip(pi, pj)]
         self.p[j] = [u * a + v * b for a, b in zip(pi, pj)]
-        # inverse of [[x,y],[u,v]] is [[v,-y],[-u,x]]/d
+        # inverse of [[x,y],[u,v]] is [[v,-y],[-u,x]]
         for row in self.p_inv:
             a, b = row[i], row[j]
-            row[i] = (v * a - u * b) * d
-            row[j] = (-y * a + x * b) * d
+            row[i] = v * a - u * b
+            row[j] = -y * a + x * b
 
     def combine_cols(self, i, j, x, y, u, v):
-        # [col_i, col_j] <- [col_i, col_j] * [[x, u], [y, v]]
-        d = x * v - y * u
-        assert d in (1, -1)
+        # [col_i, col_j] <- [col_i, col_j] * [[x, u], [y, v]], x v - y u = 1
         for row in self.s:
             a, b = row[i], row[j]
             row[i] = x * a + y * b
@@ -382,8 +431,8 @@ class SmithRows:
             row[i] = x * a + y * b
             row[j] = u * a + v * b
         qi, qj = self.q_inv[i], self.q_inv[j]
-        self.q_inv[i] = [(v * a - u * b) * d for a, b in zip(qi, qj)]
-        self.q_inv[j] = [(-y * a + x * b) * d for a, b in zip(qi, qj)]
+        self.q_inv[i] = [v * a - u * b for a, b in zip(qi, qj)]
+        self.q_inv[j] = [-y * a + x * b for a, b in zip(qi, qj)]
 
     def negate_row(self, i):
         self.s[i] = [-a for a in self.s[i]]
@@ -616,22 +665,6 @@ def saturation(vectors: list[IntVector]) -> list[IntVector]:
     rank = sum(1 for i in range(min(n, len(vectors))) if w.s[i][i] != 0)
     out = [tuple(w.p_inv[r][i] for r in range(n)) for i in range(rank)]
     return lattice_basis(out)
-
-
-def lattice_index_in_saturation(vectors: list[IntVector]) -> int:
-    """Index of span(vectors) inside its saturation (product of the nonzero
-    invariant factors)."""
-    vectors = [tuple(v) for v in vectors]
-    if not vectors:
-        return 1
-    n = len(vectors[0])
-    rows = [[v[i] for v in vectors] for i in range(n)]
-    w = smith_rows(rows)
-    idx = 1
-    for i in range(min(n, len(vectors))):
-        if w.s[i][i] != 0:
-            idx *= w.s[i][i]
-    return idx
 
 
 def cokernel_invariants(m) -> tuple[int, tuple[int, ...]]:

@@ -77,7 +77,7 @@ def _fail(key, expected, actual) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# order-twelve: twelfth powers decide finiteness in GL(2,Z)
+# order-twelve: the closed-form element order against twelfth powers
 
 def _unimodular_tuples(box: int):
     rng = range(-box, box + 1)

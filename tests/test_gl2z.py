@@ -1,8 +1,12 @@
 """Tests for finite-order structure and two-ended typing in GL(2,Z)."""
 
+import ast
+import inspect
+
 import pytest
 
 import oracles
+from solgeom import gl2z, intmat
 from solgeom.intmat import IntMatrix
 from solgeom.gl2z import (
     FiniteOrderClass,
@@ -61,6 +65,53 @@ def test_order_law_box_three():
         assert order == oracles.order2_brute(t)
         if order is not None:
             assert order in (1, 2, 3, 4, 6)
+
+
+def _with_negatives(tuples):
+    for t in tuples:
+        yield t
+        yield tuple(-x for x in t)
+
+
+def test_element_order_parabolics_beyond_box():
+    # det 1, trace +-2: order 1 or 2 at +-I, infinite otherwise
+    parabolics = list(_with_negatives(
+        t for k in range(-100, 101) for t in ((1, k, 0, 1), (1, 0, k, 1))))
+    for t in parabolics:
+        assert element_order(_mat(t)) == oracles.order2_brute(t)
+    assert [element_order(_mat(t)) for t in parabolics].count(None) \
+        == len(parabolics) - 4
+
+
+def test_element_order_det_minus_one():
+    # det -1: order 2 exactly at trace 0, infinite otherwise
+    for t in range(-100, 101):
+        for m in ((t, 1, 1, 0), (0, 1, 1, t), (t, t * t + 1, 1, t),
+                  (1, t, 0, -1), (t, 1 - t * t, 1, -t)):
+            assert oracles.det2(m) == -1
+            order = element_order(_mat(m))
+            assert order == oracles.order2_brute(m)
+            assert order == (2 if m[0] + m[3] == 0 else None)
+
+
+def test_element_order_large_hyperbolics():
+    hyperbolics = [(k, 1, -1, 0) for k in range(-100, 101) if abs(k) > 2]
+    hyperbolics += [(1 + k * k, k, k, 1) for k in range(1, 60)]
+    hyperbolics += [(HYP ** k).rows[0] + (HYP ** k).rows[1]
+                    for k in range(1, 12)]
+    for t in _with_negatives(hyperbolics):
+        assert oracles.det2(t) == 1 and abs(t[0] + t[3]) > 2
+        assert element_order(_mat(t)) is None
+        assert oracles.order2_brute(t) is None
+
+
+@pytest.mark.parametrize("module", [intmat, gl2z])
+def test_no_assert_statements(module):
+    # gates must be real exceptions, so they still run under python -O
+    tree = ast.parse(inspect.getsource(module))
+    asserts = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Assert)]
+    assert asserts == []
 
 
 # ---------------------------------------------------------------------------

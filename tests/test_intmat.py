@@ -12,12 +12,12 @@ import pytest
 
 import oracles
 from solgeom.intmat import (
+    MAX_DIM,
     IntMatrix,
     cokernel_invariants,
     in_image,
     kernel_basis,
     lattice_basis,
-    lattice_index_in_saturation,
     parse_vector,
     primitive_vector,
     saturation,
@@ -102,6 +102,94 @@ def test_entries_must_be_integers():
     assert all(type(x) is int for row in m.rows for x in row)
     b = IntMatrix([[True, False], [False, True]])
     assert b == I2 and b.literal() == "1,0;0,1"
+
+
+# ---------------------------------------------------------------------------
+# arithmetic results at every supported size, against plain-list formulas
+
+def _plain_mul(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def _plain_identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _random_unimodular_rows(rng, n):
+    """A product of random row additions and sign flips, on plain lists."""
+    rows = _plain_identity(n)
+    for _ in range(3 * n):
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            k = rng.randint(-3, 3)
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+        if rng.random() < 0.3:
+            i = rng.randrange(n)
+            rows[i] = [-x for x in rows[i]]
+    return rows
+
+
+def _assert_built_from(m, rows):
+    # a result of arithmetic is indistinguishable from IntMatrix(rows)
+    fresh = IntMatrix(rows)
+    assert m == fresh and hash(m) == hash(fresh)
+    assert m.n == len(rows) and m.rows == fresh.rows
+    assert type(m.rows) is tuple
+    assert all(type(row) is tuple for row in m.rows)
+    assert all(type(x) is int for row in m.rows for x in row)
+    with pytest.raises(AttributeError):
+        m.rows = fresh.rows
+    with pytest.raises(AttributeError):
+        m.n = 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_arithmetic_matches_plain_lists(n):
+    rng = random.Random(900 + n)
+    for bound in (9, 9, 10 ** 20):
+        a_rows = [[rng.randint(-bound, bound) for _ in range(n)]
+                  for _ in range(n)]
+        b_rows = [[rng.randint(-bound, bound) for _ in range(n)]
+                  for _ in range(n)]
+        a, b = IntMatrix(a_rows), IntMatrix(b_rows)
+        _assert_built_from(a * b, _plain_mul(a_rows, b_rows))
+        _assert_built_from(a + b, [[x + y for x, y in zip(r, s)]
+                                   for r, s in zip(a_rows, b_rows)])
+        _assert_built_from(a - b, [[x - y for x, y in zip(r, s)]
+                                   for r, s in zip(a_rows, b_rows)])
+        _assert_built_from(-a, [[-x for x in r] for r in a_rows])
+        _assert_built_from(a.transpose(), [[a_rows[j][i] for j in range(n)]
+                                           for i in range(n)])
+        assert a.det() == oracles._det(a_rows)
+        assert (a * b).det() == a.det() * b.det()
+    for _ in range(4):
+        u_rows = _random_unimodular_rows(rng, n)
+        u = IntMatrix(u_rows)
+        assert u.det() == oracles._det(u_rows) in (1, -1)
+        inv = u.inverse()
+        _assert_built_from(inv, inv.to_lists())
+        assert _plain_mul(u_rows, inv.to_lists()) == _plain_identity(n)
+        assert _plain_mul(inv.to_lists(), u_rows) == _plain_identity(n)
+    ident = IntMatrix.identity(n)
+    _assert_built_from(ident, _plain_identity(n))
+    assert IntMatrix.identity(n) is ident  # prebuilt, shared
+    assert ident * a == a * ident == a
+    with pytest.raises(ValueError):
+        a * IntMatrix.identity(n % 8 + 1)
+    with pytest.raises(ValueError):
+        a + IntMatrix.identity(n % 8 + 1)
+    with pytest.raises(ValueError):
+        a - IntMatrix.identity(n % 8 + 1)
+
+
+def test_identity_dimension_guard():
+    for n in (0, -1, MAX_DIM + 1):
+        with pytest.raises(ValueError):
+            IntMatrix.identity(n)
+    with pytest.raises(TypeError):
+        IntMatrix.identity(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +346,6 @@ def test_saturation_direct_summand():
             cols = [[s[i] for s in sat] for i in range(n)]
             assert all(f == 1 for f in
                        oracles.invariant_factors_by_minors(cols))
-            assert lattice_index_in_saturation(sat) == 1
 
 
 def test_lattice_basis_canonical():

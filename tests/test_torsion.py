@@ -7,6 +7,7 @@ square to 1 by the oracle's arithmetic.
 """
 
 import itertools
+import json
 import random
 from collections import Counter
 from math import gcd
@@ -14,7 +15,7 @@ from math import gcd
 import pytest
 
 import oracles
-from solgeom import catalog, extensions
+from solgeom import catalog, cli, extensions
 from solgeom.classifier import enumerate_invariants
 from solgeom.extensions import ExtensionGroup, from_description
 
@@ -169,3 +170,25 @@ def test_witness_that_is_not_an_involution_raises(monkeypatch):
                         lambda m, b: (1,) * len(b))
     with pytest.raises(RuntimeError, match="does not square"):
         catalog.pillowcase_group(3, 2, 4).find_torsion()
+
+
+def test_torsion_decided_once_per_group(monkeypatch, capsys):
+    # `group torsion pillowcase(p,q,r)` meets the question twice, in the
+    # spec's torsion gate and in the command; the solves run once
+    real = extensions.solve_integer
+    solves = []
+
+    def counting(m, b):
+        solves.append(b)
+        return real(m, b)
+
+    monkeypatch.setattr(extensions, "solve_integer", counting)
+    assert cli.main(["group", "torsion", "pillowcase(3,2,4)"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["torsion_found"] is False
+    assert len(solves) == 2  # the cosets of u and of v, once each
+    g = catalog.pillowcase_group(3, 2, 4)
+    assert g.find_torsion() is None and len(solves) == 4
+    assert g.find_torsion() is None and len(solves) == 4
+    with pytest.raises(ValueError):
+        catalog.g2_group().find_torsion()
