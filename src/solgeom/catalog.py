@@ -135,9 +135,9 @@ def pillowcase_group(p: int, q: int, r: int) -> ExtensionGroup:
         raise ValueError("p^2 - qr must be 1")
     a = IntMatrix([[p, q], [-r, -p]])
     ident = IntMatrix.identity(2)
-    fixed = kernel_basis(a - ident)
-    assert len(fixed) == 1
-    e, f = fixed[0]
+    # A has trace 0 and det -1, so A != I and det(A - I) = 0: rank 1, and
+    # the fixed lattice is one line
+    (e, f), = kernel_basis(a - ident)
     return ExtensionGroup(
         "Dinf", 3,
         lattice_names=("x", "y", "z"),

@@ -18,7 +18,7 @@ from .intmat import (
     IntVector,
     kernel_basis,
     saturation,
-    solve_integer,
+    smith_rows,
 )
 
 
@@ -178,8 +178,7 @@ def from_extension(u: IntMatrix, v: IntMatrix, s_u: IntVector,
     if IntMatrix.from_columns([n_basis[0], n_basis[1], c]).det() == 0:
         raise InvariantError("moved sublattice and fixed line do not span")
 
-    a_res = _restrict(u, n_basis)
-    d_res = _restrict(v, n_basis)
+    a_res, d_res = _restrict((u, v), n_basis)
     # diagonalize the v-restriction over Z: need eigenbasis of determinant 1
     plus = kernel_basis(d_res - IntMatrix.identity(2))
     minus = kernel_basis(d_res + IntMatrix.identity(2))
@@ -198,16 +197,25 @@ def from_extension(u: IntMatrix, v: IntMatrix, s_u: IntVector,
     return normalize(psi)
 
 
-def _restrict(m: IntMatrix, basis: list[IntVector]) -> IntMatrix:
-    """Matrix of m on the sublattice spanned by basis (which m preserves)."""
-    rows = [[vec[i] for vec in basis] for i in range(m.n)]
-    cols = []
-    for vec in basis:
-        sol = solve_integer(rows, m.apply(vec))
-        if sol is None:
-            raise InvariantError("action does not preserve the sublattice")
-        cols.append(sol)
-    return IntMatrix.from_columns(cols)
+def _restrict(mats, basis: list[IntVector]) -> list[IntMatrix]:
+    """Matrices of the given actions on the sublattice spanned by basis
+    (which each must preserve), from one Smith form P B Q = S of the basis
+    matrix B: B is independent, so B x = b has at most one solution,
+    x = Q (P b / diag S)."""
+    w = smith_rows([[vec[i] for vec in basis] for i in range(3)])
+    d0, d1 = w.s[0][0], w.s[1][1]
+    out = []
+    for m in mats:
+        cols = []
+        for vec in basis:
+            b = m.apply(vec)
+            c0, c1, c2 = (sum(x * y for x, y in zip(row, b)) for row in w.p)
+            if c2 or c0 % d0 or c1 % d1:
+                raise InvariantError("action does not preserve the sublattice")
+            cols.append(tuple(c0 // d0 * x + c1 // d1 * y
+                              for x, y in zip(w.qt[0], w.qt[1])))
+        out.append(IntMatrix.from_columns(cols))
+    return out
 
 
 def homology_report(inv: PillowcaseInvariant) -> dict:

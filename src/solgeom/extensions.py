@@ -15,7 +15,6 @@ problem machinery is involved.
 from __future__ import annotations
 
 import enum
-import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -120,7 +119,6 @@ class FpPresentation:
 
 class _H1Data(NamedTuple):
     gens: tuple[str, ...]
-    rows: list[list[int]]
     free_rank: int
     torsion: tuple[int, ...]
     p: list[list[int]]
@@ -462,9 +460,9 @@ class ExtensionGroup:
         for name, exp in reversed(self._q_letters(a.q)):
             t, q = self._append_one(t, q, name, -exp)
         partial = GroupElement(t, q)
-        # a * partial is a pure translation tau(r); peel it off the right
+        # a * partial is a pure translation tau(r), since collection gives
+        # the unique normal form of q(a) q(a)^-1 = 1; peel it off the right
         r = self.element_mul(a, partial)
-        assert r.q == self._q_identity()
         return self.element_mul(partial, self.element(vec_neg(r.t)))
 
     def element_pow(self, a: GroupElement, k: int) -> GroupElement:
@@ -534,9 +532,8 @@ class ExtensionGroup:
             return False
         if order == 1:
             return is_zero_vector(a.t)
-        p = self.element_pow(a, order)
-        assert p.q == self._q_identity()
-        return is_zero_vector(p.t)
+        # a^order lies in the lattice: its quotient word is q(a)^order = 1
+        return is_zero_vector(self.element_pow(a, order).t)
 
     def find_torsion(self) -> GroupElement | None:
         """A torsion element of a Dinf extension, or None if there is none.
@@ -627,19 +624,20 @@ class ExtensionGroup:
 
     @cached_property
     def _h1_data(self) -> _H1Data:
-        """The abelianization, built once per group: relator matrix, free
-        rank, torsion and the Smith form; H1 coordinates of a class x are
-        P x."""
+        """The abelianization, built once per group: free rank, torsion
+        and the Smith form; H1 coordinates of a class x are P x."""
         gens, rows = self._relator_matrix_rows()
         if not gens:
-            return _H1Data(gens, rows, 0, (), [], 0, [])
-        w = smith_rows(rows)
-        nr = len(rows)
-        rank = sum(1 for i in range(min(nr, len(rows[0])))
-                   if w.s[i][i] != 0)
+            return _H1Data(gens, 0, (), [], 0, [])
+        # zero columns (the lattice commutators, among others) do not
+        # change the cokernel
+        cols = [c for c in zip(*rows) if any(c)]
+        nr = len(gens)
+        w = smith_rows([[c[i] for c in cols] for i in range(nr)])
+        rank = sum(1 for i in range(min(nr, len(cols))) if w.s[i][i] != 0)
         diag = [w.s[i][i] for i in range(rank)]
         torsion = tuple(d for d in diag if d > 1)
-        return _H1Data(gens, rows, nr - rank, torsion, w.p, rank, diag)
+        return _H1Data(gens, nr - rank, torsion, w.p, rank, diag)
 
     def abelianization(self) -> tuple[int, tuple[int, ...]]:
         """(free rank, torsion coefficients) of pi / [pi, pi]."""
@@ -687,39 +685,34 @@ class ExtensionGroup:
         return out
 
     def w1_factors_through_z4(self) -> bool:
-        """Whether the orientation character lifts to a map H1 -> Z/4."""
+        """Whether the orientation character lifts to a map H1 -> Z/4.
+
+        Exact.  The character is x -> w.x mod 2 on generator exponents; it
+        vanishes on every relator, since the lattice generators have
+        character 0 and every relator has even exponent sum in each
+        quotient generator.  In the H1 coordinates y = P x it reads
+        y -> c.y with c = w P^-1 mod 2, unique since P is unimodular.  A
+        lift sends the generator of a summand Z/d to some a in Z/4 with
+        d a = 0 and a = c_j mod 2, so it exists exactly when c_j = 0 on
+        every torsion summand with 4 not dividing d; free summands take
+        any value.
+        """
         chars = self.generator_characters()
         h1 = self._h1_data
-        gens, rows, p, rank, diag = h1.gens, h1.rows, h1.p, h1.rank, h1.diag
-        nr = len(gens)
-        # the character must vanish on every relator (it factors through H1)
-        ncols = len(rows[0]) if rows else 0
-        for c in range(ncols):
-            total = sum(rows[i][c] * chars[gens[i]] for i in range(nr))
-            assert total % 2 == 0
-        choices = []
+        p, nr = h1.p, len(h1.gens)
+        # solve P^T c = w over GF(2): equation i is bit j for P[j][i] and
+        # bit nr for w_i; Gauss-Jordan leaves c_j in bit nr of row j
+        eqs = [sum((p[j][i] & 1) << j for j in range(nr)) | chars[g] << nr
+               for i, g in enumerate(h1.gens)]
         for j in range(nr):
-            if j < rank:
-                d = diag[j]
-                if d % 4 == 0:
-                    choices.append((0, 1, 2, 3))
-                elif d % 2 == 0:
-                    choices.append((0, 2))
-                else:
-                    choices.append((0,))
-            else:
-                choices.append((0, 1, 2, 3))
-        targets = [chars[g] for g in gens]
-        for phi in itertools.product(*choices):
-            ok = True
-            for i in range(nr):
-                val = sum(phi[j] * p[j][i] for j in range(nr)) % 4
-                if val % 2 != targets[i] % 2:
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
+            bit = 1 << j
+            k = next(k for k in range(j, nr) if eqs[k] & bit)
+            eqs[j], eqs[k] = eqs[k], eqs[j]
+            for k in range(nr):
+                if k != j and eqs[k] & bit:
+                    eqs[k] ^= eqs[j]
+        return not any(eqs[j] >> nr & 1
+                       for j in range(h1.rank) if h1.diag[j] % 4)
 
     # -- center and friends -------------------------------------------------
 

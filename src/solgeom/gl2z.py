@@ -263,8 +263,9 @@ def monodromy_image_type(images: list[IntMatrix]) -> MonodromyType:
     group of diag(1,-1)-type reflections.
 
     Requires every non-identity image to be in the Reflection class, the
-    group to be infinite (some product of two images is hyperbolic), and -I
-    not to be expressible within word length 12 over the images.
+    group to be infinite (some product of two images is hyperbolic), the
+    translations r_1 r_i to commute pairwise, and -I not to be expressible
+    within word length 12 over the images.
     """
     distinct = []
     for m in images:
@@ -282,6 +283,11 @@ def monodromy_image_type(images: list[IntMatrix]) -> MonodromyType:
         return MonodromyType.OTHER  # trivial image group
     if not any(abs((x * y).trace()) > 2
                for x in distinct for y in distinct):
+        return MonodromyType.OTHER
+    # in D-infinity the translations r_1 r_i all commute; two that do not
+    # (such as the Sanov parabolics) generate a free group
+    trans = [distinct[0] * r for r in distinct[1:]]
+    if any(x * y != y * x for i, x in enumerate(trans) for y in trans[i + 1:]):
         return MonodromyType.OTHER
     # breadth-first sweep of words in the images, deduplicated
     seen = {_ID, *distinct}

@@ -2,9 +2,10 @@
 
 Everything here is done with Python's arbitrary-precision ints; no floats
 anywhere.  IntMatrix is square (dimension 1..8, working sizes 2 and 3) and
-immutable.  The workhorse is Smith normal form with explicit unimodular
-transforms, from which solving, kernels, saturations and cokernels all fall
-out; those take an IntMatrix or any rectangular list of integer rows.
+immutable.  Smith normal form with its two unimodular transforms P and Q
+gives solving and cokernels; kernels and saturations come from one echelon
+reduction with a single transform.  All of these take an IntMatrix or any
+rectangular list of integer rows.
 
 Vectors are plain tuples of ints.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 MAX_DIM = 8
 
@@ -334,8 +336,10 @@ def _adjugate_rows(rows: list[list[int]]) -> list[list[int]]:
 #
 # The reduction works on rectangular lists of rows, so stacked systems and
 # relator matrices use it directly.  Row operations are mirrored into P and
-# P_inv, column operations into Q and Q_inv, so P*M*Q = S holds exactly and
-# the inverses come for free.
+# column operations into Q, so P*M*Q = S holds exactly.  Q is kept
+# transposed, so a column operation is a row operation on it.  Kernels and
+# saturations need no Smith form; they come from one echelon reduction
+# with a single transform (_kernel_rows).
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a,b) >= 0 and x*a + y*b = g."""
@@ -352,164 +356,140 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-class SmithRows:
-    """Smith form of a rectangular matrix as lists of rows: S plus the four
-    transform matrices P, P_inv, Q, Q_inv."""
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
 
-    def __init__(self, rows):
-        self.s = [list(r) for r in rows]
-        self.nr = len(self.s)
-        self.nc = len(self.s[0]) if self.nr else 0
-        self.p = [[int(i == j) for j in range(self.nr)] for i in range(self.nr)]
-        self.p_inv = [[int(i == j) for j in range(self.nr)] for i in range(self.nr)]
-        self.q = [[int(i == j) for j in range(self.nc)] for i in range(self.nc)]
-        self.q_inv = [[int(i == j) for j in range(self.nc)] for i in range(self.nc)]
 
-    # Row ops act on S and P on the left; P_inv absorbs the inverse op on its
-    # columns so P * P_inv stays the identity.  Column ops are the mirror
-    # image with Q on the right.
+def _mix(r, s, x, y, u, v):
+    """The rows x r + y s and u r + v s."""
+    return ([x * a + y * b for a, b in zip(r, s)],
+            [u * a + v * b for a, b in zip(r, s)])
 
-    def swap_rows(self, i, j):
-        if i == j:
-            return
-        self.s[i], self.s[j] = self.s[j], self.s[i]
-        self.p[i], self.p[j] = self.p[j], self.p[i]
-        for row in self.p_inv:
-            row[i], row[j] = row[j], row[i]
 
-    def swap_cols(self, i, j):
-        if i == j:
-            return
-        for row in self.s:
-            row[i], row[j] = row[j], row[i]
-        for row in self.q:
-            row[i], row[j] = row[j], row[i]
-        self.q_inv[i], self.q_inv[j] = self.q_inv[j], self.q_inv[i]
+class SmithRows(NamedTuple):
+    """P * M * Q = S for a rectangular M, all as lists of rows; qt is Q
+    transposed (row j of qt is column j of Q)."""
 
-    def add_row(self, src, dst, k):
-        # row[dst] += k * row[src]
-        if k == 0:
-            return
-        self.s[dst] = [a + k * b for a, b in zip(self.s[dst], self.s[src])]
-        self.p[dst] = [a + k * b for a, b in zip(self.p[dst], self.p[src])]
-        for row in self.p_inv:
-            row[src] -= k * row[dst]
-
-    def add_col(self, src, dst, k):
-        if k == 0:
-            return
-        for row in self.s:
-            row[dst] += k * row[src]
-        for row in self.q:
-            row[dst] += k * row[src]
-        self.q_inv[src] = [a - k * b for a, b in
-                           zip(self.q_inv[src], self.q_inv[dst])]
-
-    def combine_rows(self, i, j, x, y, u, v):
-        # [row_i; row_j] <- [[x, y], [u, v]] * [row_i; row_j]; every caller
-        # passes (x, y, -b/g, a/g) with x a + y b = g, so x v - y u = 1
-        ri, rj = self.s[i], self.s[j]
-        self.s[i] = [x * a + y * b for a, b in zip(ri, rj)]
-        self.s[j] = [u * a + v * b for a, b in zip(ri, rj)]
-        pi, pj = self.p[i], self.p[j]
-        self.p[i] = [x * a + y * b for a, b in zip(pi, pj)]
-        self.p[j] = [u * a + v * b for a, b in zip(pi, pj)]
-        # inverse of [[x,y],[u,v]] is [[v,-y],[-u,x]]
-        for row in self.p_inv:
-            a, b = row[i], row[j]
-            row[i] = v * a - u * b
-            row[j] = -y * a + x * b
-
-    def combine_cols(self, i, j, x, y, u, v):
-        # [col_i, col_j] <- [col_i, col_j] * [[x, u], [y, v]], x v - y u = 1
-        for row in self.s:
-            a, b = row[i], row[j]
-            row[i] = x * a + y * b
-            row[j] = u * a + v * b
-        for row in self.q:
-            a, b = row[i], row[j]
-            row[i] = x * a + y * b
-            row[j] = u * a + v * b
-        qi, qj = self.q_inv[i], self.q_inv[j]
-        self.q_inv[i] = [v * a - u * b for a, b in zip(qi, qj)]
-        self.q_inv[j] = [-y * a + x * b for a, b in zip(qi, qj)]
-
-    def negate_row(self, i):
-        self.s[i] = [-a for a in self.s[i]]
-        self.p[i] = [-a for a in self.p[i]]
-        for row in self.p_inv:
-            row[i] = -row[i]
+    s: list[list[int]]
+    p: list[list[int]]
+    qt: list[list[int]]
 
 
 def smith_rows(rows) -> SmithRows:
     """Reduce a rectangular integer matrix, given as rows, to Smith form.
 
     S comes out diagonal, nonnegative, each diagonal entry dividing the
-    next, and P*M*Q = S with P, Q unimodular.
+    next, and P*M*Q = S with P, Q unimodular.  The pivot rule and the order
+    of operations fix S, P and Q, and through them the particular solutions
+    that solve_integer returns.
     """
-    w = SmithRows(rows)
-    s = w.s
-    t = 0
-    limit = min(w.nr, w.nc)
-    while t < limit:
+    s = [list(r) for r in rows]
+    nr = len(s)
+    nc = len(s[0]) if nr else 0
+    p = _identity_rows(nr)
+    qt = _identity_rows(nc)
+    for t in range(min(nr, nc)):
         # pick the nonzero entry of smallest magnitude as pivot
-        pivot = None
-        best = None
-        for i in range(t, w.nr):
-            for j in range(t, w.nc):
-                a = s[i][j]
-                if a != 0 and (best is None or abs(a) < best):
-                    best = abs(a)
-                    pivot = (i, j)
-        if pivot is None:
+        best = 0
+        for i in range(t, nr):
+            for j in range(t, nc):
+                a = abs(s[i][j])
+                if a and (not best or a < best):
+                    best, pi, pj = a, i, j
+        if not best:
             break
-        w.swap_rows(t, pivot[0])
-        w.swap_cols(t, pivot[1])
+        # rows and columns before t are cleared, so column operations need
+        # to touch rows t.. only
+        s[t], s[pi] = s[pi], s[t]
+        p[t], p[pi] = p[pi], p[t]
+        for row in s[t:]:
+            row[t], row[pj] = row[pj], row[t]
+        qt[t], qt[pj] = qt[pj], qt[t]
         while True:
             # clear column t
-            for i in range(t + 1, w.nr):
+            for i in range(t + 1, nr):
                 a, b = s[t][t], s[i][t]
                 if b == 0:
                     continue
                 if b % a == 0:
-                    w.add_row(t, i, -(b // a))
+                    k = -(b // a)
+                    s[i] = [x + k * y for x, y in zip(s[i], s[t])]
+                    p[i] = [x + k * y for x, y in zip(p[i], p[t])]
                 else:
                     g, x, y = _xgcd(a, b)
-                    w.combine_rows(t, i, x, y, -(b // g), a // g)
+                    u, v = -(b // g), a // g
+                    s[t], s[i] = _mix(s[t], s[i], x, y, u, v)
+                    p[t], p[i] = _mix(p[t], p[i], x, y, u, v)
             # clear row t
             dirty = False
-            for j in range(t + 1, w.nc):
+            for j in range(t + 1, nc):
                 a, b = s[t][t], s[t][j]
                 if b == 0:
                     continue
                 if b % a == 0:
-                    w.add_col(t, j, -(b // a))
+                    k = -(b // a)
+                    for row in s[t:]:
+                        row[j] += k * row[t]
+                    qt[j] = [x + k * y for x, y in zip(qt[j], qt[t])]
                 else:
                     g, x, y = _xgcd(a, b)
-                    w.combine_cols(t, j, x, y, -(b // g), a // g)
+                    u, v = -(b // g), a // g
+                    for row in s[t:]:
+                        row[t], row[j] = (x * row[t] + y * row[j],
+                                          u * row[t] + v * row[j])
+                    qt[t], qt[j] = _mix(qt[t], qt[j], x, y, u, v)
                     dirty = True
-            if dirty:
+            if dirty or any(s[i][t] for i in range(t + 1, nr)):
                 continue  # column ops may have refilled column t
-            if any(s[i][t] != 0 for i in range(t + 1, w.nr)):
-                continue
             # enforce divisibility of the remaining block by the pivot
             d = s[t][t]
-            offender = None
-            for i in range(t + 1, w.nr):
-                for j in range(t + 1, w.nc):
-                    if s[i][j] % d != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            bad = next((i for i in range(t + 1, nr)
+                        if any(x % d for x in s[i][t + 1:])), None)
+            if bad is None:
                 break
-            w.add_row(offender, t, 1)
-        t += 1
-    for i in range(limit):
+            s[t] = [x + y for x, y in zip(s[t], s[bad])]
+            p[t] = [x + y for x, y in zip(p[t], p[bad])]
+    for i in range(min(nr, nc)):
         if s[i][i] < 0:
-            w.negate_row(i)
-    return w
+            s[i] = [-x for x in s[i]]
+            p[i] = [-x for x in p[i]]
+    return SmithRows(s, p, qt)
+
+
+def _kernel_rows(rows, nc: int) -> list[list[int]]:
+    """A basis of {x in Z^nc : M x = 0} for M given as rows of length nc.
+
+    One echelon reduction of M^T with its transform U: row operations bring
+    U M^T to echelon form, and the rows of U beside the zero rows of U M^T
+    are a basis of the kernel, U being unimodular.
+    """
+    mt = [list(c) for c in zip(*rows)]
+    u = _identity_rows(nc)
+    piv = 0
+    for r in range(len(rows)):
+        if piv == nc:
+            break
+        for i in range(piv + 1, nc):
+            a, b = mt[piv][r], mt[i][r]
+            if b == 0:
+                continue
+            if a == 0:
+                mt[piv], mt[i] = mt[i], mt[piv]
+                u[piv], u[i] = u[i], u[piv]
+            elif b % a == 0:
+                k = b // a
+                mt[i] = [y - k * x for x, y in zip(mt[piv], mt[i])]
+                u[i] = [y - k * x for x, y in zip(u[piv], u[i])]
+            else:
+                g, x, y = _xgcd(a, b)
+                mt[piv], mt[i] = _mix(mt[piv], mt[i], x, y, -b // g, a // g)
+                u[piv], u[i] = _mix(u[piv], u[i], x, y, -b // g, a // g)
+        if mt[piv][r] != 0:
+            piv += 1
+    return u[piv:]
 
 
 def lattice_basis(vectors: list[IntVector]) -> list[IntVector]:
@@ -583,7 +563,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     w = smith_rows(m.rows)
     s = IntMatrix(w.s)
     p = IntMatrix(w.p)
-    q = IntMatrix(w.q)
+    q = IntMatrix(w.qt).transpose()
     diag = [s.rows[i][i] for i in range(m.n)]
     if (p * m * q != s or not (p.is_unimodular() and q.is_unimodular())
             or any(d < 0 for d in diag)
@@ -608,18 +588,18 @@ def solve_integer(m, b: IntVector) -> IntVector | None:
     if nc == 0:
         return () if all(x == 0 for x in b) else None
     w = smith_rows(rows)
-    c = [sum(w.p[i][k] * b[k] for k in range(nr)) for i in range(nr)]
     y = [0] * nc
-    for i in range(nr):
+    for i, row in enumerate(w.p):
+        c = sum(x * z for x, z in zip(row, b))
         d = w.s[i][i] if i < nc else 0
         if d == 0:
-            if c[i] != 0:
+            if c != 0:
                 return None
         else:
-            if c[i] % d != 0:
+            if c % d != 0:
                 return None
-            y[i] = c[i] // d
-    return tuple(sum(w.q[i][k] * y[k] for k in range(nc)) for i in range(nc))
+            y[i] = c // d
+    return tuple(sum(x * z for x, z in zip(col, y)) for col in zip(*w.qt))
 
 
 def in_image(m, b: IntVector) -> bool:
@@ -634,17 +614,10 @@ def kernel_basis(m) -> list[IntVector]:
     first nonzero coordinate is positive.
     """
     rows = _rows(m)
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
+    nc = len(rows[0]) if rows else 0
     if nc == 0:
         return []
-    w = smith_rows(rows)
-    out = []
-    for j in range(nc):
-        d = w.s[j][j] if j < nr else 0
-        if d == 0:
-            out.append(tuple(w.q[i][j] for i in range(nc)))
-    return lattice_basis(out)
+    return lattice_basis(_kernel_rows(rows, nc))
 
 
 def saturation(vectors: list[IntVector]) -> list[IntVector]:
@@ -660,11 +633,12 @@ def saturation(vectors: list[IntVector]) -> list[IntVector]:
     for v in vectors:
         if len(v) != n:
             raise ValueError("mixed dimensions")
-    rows = [[v[i] for v in vectors] for i in range(n)]  # columns = vectors
-    w = smith_rows(rows)
-    rank = sum(1 for i in range(min(n, len(vectors))) if w.s[i][i] != 0)
-    out = [tuple(w.p_inv[r][i] for r in range(n)) for i in range(rank)]
-    return lattice_basis(out)
+    # the kernel of the kernel: x is in the saturation iff x is orthogonal
+    # to every y that is orthogonal to all the vectors
+    perp = _kernel_rows(vectors, n)
+    if not perp:
+        return [tuple(r) for r in _identity_rows(n)]
+    return lattice_basis(_kernel_rows(perp, n))
 
 
 def cokernel_invariants(m) -> tuple[int, tuple[int, ...]]:

@@ -10,6 +10,7 @@ the oracle is never built on top of the code path it checks.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -161,6 +162,8 @@ def minor_gcd(rows, k):
     for ri in itertools.combinations(range(len(rows)), k):
         for ci in itertools.combinations(range(len(rows[0])), k):
             g = gcd(g, abs(_det([[rows[i][j] for j in ci] for i in ri])))
+            if g == 1:
+                return 1  # no further minor can lower it
     return g
 
 
@@ -177,6 +180,32 @@ def _det(rows):
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * _det(minor)
     return total
+
+
+def det_exact(rows):
+    """Determinant of a square matrix by elimination over the rationals."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return int(det)
+
+
+def mat_mul(a, b):
+    """Product of two matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols]
+            for row in a]
 
 
 def cokernel_by_minors(rows):
@@ -341,3 +370,21 @@ def pillowcase_box_scan(max_entry):
                 if q * r == target:
                     found.append((p, q, r))
     return found
+
+
+# ---------------------------------------------------------------------------
+# orientation character lifts, by searching the homomorphisms
+
+def w1_lifts_to_z4(rows, chars):
+    """Whether a character Z^n -> Z/2 (chars[i] on generator i) that kills
+    the columns of the relator matrix rows lifts to a homomorphism
+    phi: Z^n -> Z/4 that also kills them: tries every phi with
+    phi(g_i) = chars[i] mod 2."""
+    n = len(rows)
+    cols = list(zip(*rows)) if n else []
+    for high in itertools.product((0, 2), repeat=n):
+        phi = [c % 2 + h for c, h in zip(chars, high)]
+        if all(sum(a * b for a, b in zip(col, phi)) % 4 == 0
+               for col in cols):
+            return True
+    return False

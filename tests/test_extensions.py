@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from solgeom import catalog, extensions
+from solgeom.classifier import enumerate_invariants
 from solgeom.extensions import (
     ExtensionGroup,
     GroupElement,
@@ -190,6 +191,73 @@ def test_w1_lift_obstruction():
     assert g.abelianization() == (0, (2, 2))
     assert g.generator_characters() == {"e": 0, "u": 1}
     assert g.w1_factors_through_z4() is False
+
+
+def test_w1_lift_false_on_rank0_c2():
+    # the first False case: H1 = Z/2 and w(g) = 1, so a lift would send g
+    # to an odd element of Z/4 of order dividing 2
+    g = ExtensionGroup("C2", 0, generators=("g",), action={"g": None},
+                       axis_signs={"g": -1})
+    assert g.abelianization() == (0, (2,))
+    assert g.generator_characters() == {"g": 1}
+    assert g.w1_factors_through_z4() is False
+    flipped = ExtensionGroup("C2", 0, generators=("g",), action={"g": None},
+                             axis_signs={"g": 1})
+    assert flipped.w1_factors_through_z4() is True
+
+
+def _w1_by_search(g):
+    gens, rows = g._relator_matrix_rows()
+    chars = g.generator_characters()
+    return oracles.w1_lifts_to_z4(rows, [chars[name] for name in gens])
+
+
+def test_w1_matches_lift_search_on_pillowcase_and_catalog():
+    invs = enumerate_invariants(60)
+    assert len(invs) == 236
+    for inv in invs:
+        g = catalog.pillowcase_group(inv.p, inv.q, inv.r)
+        assert g.w1_factors_through_z4() is _w1_by_search(g)
+    signed = 0
+    for name, g in catalog.default_catalog().items():
+        if g.axis_signs is None:
+            # no orientation character to lift
+            with pytest.raises(ValueError):
+                g.w1_factors_through_z4()
+            continue
+        signed += 1
+        assert g.w1_factors_through_z4() is _w1_by_search(g), name
+    assert signed == 7
+
+
+def test_w1_matches_lift_search_on_random_groups():
+    # small C2, Zq and Dinf extensions with random involutive actions,
+    # cocycles and axis signs; both answers occur
+    rng = random.Random(4)
+    involutions = [[[1]], [[-1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]],
+                   [[-1, 0], [0, -1]], [[1, 0], [0, 1]], [[3, 2], [-4, -3]]]
+    seen = set()
+    tried = 0
+    while tried < 300:
+        kind = rng.choice(("C2", "Dinf", "Zq"))
+        rank = rng.choice((0, 1, 2))
+        gens = ("u",) if kind != "Dinf" else ("u", "v")
+        mats = [m for m in involutions if len(m) == rank]
+        action = {h: (rng.choice(mats) if rank else None) for h in gens}
+        cocycles = ({} if kind == "Zq" else
+                    {h: tuple(rng.randint(-2, 2) for _ in range(rank))
+                     for h in gens})
+        signs = {h: rng.choice((1, -1)) for h in gens}
+        try:
+            g = ExtensionGroup(kind, rank, generators=gens, action=action,
+                               cocycles=cocycles, axis_signs=signs)
+        except ValueError:
+            continue
+        tried += 1
+        got = g.w1_factors_through_z4()
+        assert got is _w1_by_search(g), g
+        seen.add(got)
+    assert seen == {True, False}
 
 
 CENTER_EXPECT = {

@@ -1,12 +1,14 @@
 """Tests for finite-order structure and two-ended typing in GL(2,Z)."""
 
 import ast
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 
 import oracles
-from solgeom import gl2z, intmat
+import solgeom
 from solgeom.intmat import IntMatrix
 from solgeom.gl2z import (
     FiniteOrderClass,
@@ -105,7 +107,9 @@ def test_element_order_large_hyperbolics():
         assert oracles.order2_brute(t) is None
 
 
-@pytest.mark.parametrize("module", [intmat, gl2z])
+@pytest.mark.parametrize("module", [
+    importlib.import_module(f"solgeom.{info.name}")
+    for info in pkgutil.iter_modules(solgeom.__path__)] + [solgeom])
 def test_no_assert_statements(module):
     # gates must be real exceptions, so they still run under python -O
     tree = ast.parse(inspect.getsource(module))
@@ -318,3 +322,18 @@ def test_monodromy_rejects_minus_i_word():
 def test_monodromy_rejects_order4_image():
     j = IntMatrix([[0, 1], [-1, 0]])
     assert monodromy_image_type([REFL, j, REFL, j]) is MonodromyType.OTHER
+
+
+def test_monodromy_rejects_free_group():
+    # three Reflection-class images with a hyperbolic product, but r1 r2 and
+    # r1 r3 are the two Sanov parabolics, which do not commute: the group
+    # contains a free group of rank 2 and is not infinite dihedral
+    r1 = REFL
+    r2 = IntMatrix([[1, 0], [2, -1]])
+    r3 = IntMatrix([[1, 2], [0, -1]])
+    for r in (r2, r3):
+        assert finite_order_class(r) is FiniteOrderClass.REFLECTION
+    assert r1 * r2 == IntMatrix([[1, 0], [-2, 1]])
+    assert r1 * r3 == IntMatrix([[1, 2], [0, 1]])
+    assert (r1 * r2) * (r1 * r3) != (r1 * r3) * (r1 * r2)
+    assert monodromy_image_type([r1, r2, r3]) is MonodromyType.OTHER

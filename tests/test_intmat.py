@@ -22,6 +22,7 @@ from solgeom.intmat import (
     primitive_vector,
     saturation,
     smith_normal_form,
+    smith_rows,
     solve_integer,
 )
 
@@ -406,3 +407,70 @@ def test_cokernel_matches_minor_oracle():
         n = rng.choice([2, 3])
         m = random_matrix(rng, n, 8)
         assert cokernel_invariants(m) == oracles.cokernel_by_minors(m.to_lists())
+
+
+# ---------------------------------------------------------------------------
+# rectangular property sweeps: sparse, with zero rows and columns, and
+# entries up to 10^20
+
+def random_rows(rng):
+    nr, nc = rng.randint(1, 6), rng.randint(1, 8)
+    bound = 10 ** rng.choice((1, 2, 20))
+    density = rng.choice((0.25, 0.5, 1.0))
+    rows = [[rng.randint(-bound, bound) if rng.random() < density else 0
+             for _ in range(nc)] for _ in range(nr)]
+    if rng.random() < 0.3:
+        rows[rng.randrange(nr)] = [0] * nc
+    if rng.random() < 0.3:
+        j = rng.randrange(nc)
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+def test_smith_rows_properties_rectangular():
+    rng = random.Random(2027)
+    for _ in range(300):
+        m = random_rows(rng)
+        nr, nc = len(m), len(m[0])
+        w = smith_rows(m)
+        q = [list(col) for col in zip(*w.qt)]
+        assert oracles.mat_mul(oracles.mat_mul(w.p, m), q) == w.s
+        assert oracles.det_exact(w.p) in (1, -1)
+        assert oracles.det_exact(q) in (1, -1)
+        diag = [w.s[i][i] for i in range(min(nr, nc))]
+        assert all(w.s[i][j] == 0 for i in range(nr) for j in range(nc)
+                   if i != j)
+        for i, d in enumerate(diag):
+            assert d >= 0
+            if i + 1 < len(diag):
+                nxt = diag[i + 1]
+                assert nxt == 0 if d == 0 else nxt % d == 0
+
+
+def test_kernel_and_saturation_against_minors_rectangular():
+    rng = random.Random(2029)
+    for _ in range(300):
+        m = random_rows(rng)
+        nr, nc = len(m), len(m[0])
+        rank = oracles.rank_by_minors(m)
+        ker = kernel_basis(m)
+        # the kernel has rank nc - rank and is saturated, so it is all of
+        # the integer kernel
+        assert len(ker) == nc - rank
+        for v in ker:
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
+        if ker:
+            assert oracles.minor_gcd([list(c) for c in zip(*ker)],
+                                     len(ker)) == 1
+        assert lattice_basis(ker) == ker
+        # the saturation of the rows: the same rank, saturated, and
+        # containing every row
+        sat = saturation([tuple(row) for row in m])
+        assert len(sat) == rank
+        if sat:
+            assert oracles.minor_gcd([list(c) for c in zip(*sat)],
+                                     len(sat)) == 1
+        for row in m:
+            assert oracles.in_span(sat, row)
+        assert lattice_basis(sat) == sat
