@@ -607,20 +607,25 @@ class ExtensionGroup:
     # -- homology -----------------------------------------------------------
 
     def _relator_matrix_rows(self):
-        """Abelianized relator matrix: rows = generators, columns = relators."""
-        pres = self.presentation()
-        gens = pres.generators
-        index = {g: i for i, g in enumerate(gens)}
-        cols = []
-        for rel in pres.relators:
-            col = [0] * len(gens)
-            for name, exp in rel:
-                col[index[name]] += exp
-            cols.append(col)
-        if not cols:
-            cols = [[0] * len(gens)] if gens else []
-        rows = [[col[i] for col in cols] for i in range(len(gens))]
-        return gens, rows
+        """Abelianized relator matrix: rows = generators, columns = the
+        nonzero exponent sums of presentation()'s relators, in its order,
+        read off the data: e_i - A_g e_i, then 2 g - s_g, the ZxC2 -c and
+        the Klein 2 y (the lattice commutators sum to zero)."""
+        # (lattice part, the quotient generator with exponent 2 or None)
+        parts = [(col, None) for g in (self.generators if self.rank else ())
+                 for col in (IntMatrix.identity(self.rank)
+                             - self.action[g]).columns()]
+        parts += [(vec_neg(self.square_cocycle[g]), g)
+                  for g in self._involutive_generators()]
+        if self.kind is QuotientKind.ZXC2:
+            parts.append((vec_neg(self.comm_cocycle), None))
+        if self.kind is QuotientKind.KLEIN:
+            parts.append(((0,) * self.rank, self.generators[1]))
+        cols = [list(t) + [2 * (h == g) for h in self.generators]
+                for t, g in parts]
+        cols = [c for c in cols if any(c)]
+        gens = self.lattice_names + self.generators
+        return gens, [[c[i] for c in cols] for i in range(len(gens))]
 
     @cached_property
     def _h1_data(self) -> _H1Data:
@@ -629,12 +634,9 @@ class ExtensionGroup:
         gens, rows = self._relator_matrix_rows()
         if not gens:
             return _H1Data(gens, 0, (), [], 0, [])
-        # zero columns (the lattice commutators, among others) do not
-        # change the cokernel
-        cols = [c for c in zip(*rows) if any(c)]
-        nr = len(gens)
-        w = smith_rows([[c[i] for c in cols] for i in range(nr)])
-        rank = sum(1 for i in range(min(nr, len(cols))) if w.s[i][i] != 0)
+        nr, nc = len(gens), len(rows[0])
+        w = smith_rows(rows)
+        rank = sum(1 for i in range(min(nr, nc)) if w.s[i][i] != 0)
         diag = [w.s[i][i] for i in range(rank)]
         torsion = tuple(d for d in diag if d > 1)
         return _H1Data(gens, nr - rank, torsion, w.p, rank, diag)

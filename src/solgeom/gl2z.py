@@ -7,8 +7,10 @@ finite-order element other than +-I is conjugate to exactly one of five
 canonical representatives; the only pair sharing an order profile (the two
 det = -1 involution classes) is separated by reduction mod 2.
 
-Conjugacy and centralizer searches share one bounded box scan: fine at desk
-scale, documented as incomplete beyond their bound.
+Conjugacy and centralizer searches share one box scan, exhaustive over the
+lattice of solutions of C m = n C at cost O((2B+1)^rank) for box bound B;
+a conjugacy search that finds nothing certifies only that no conjugator
+lies in the box.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .intmat import IntMatrix
+from .intmat import IntMatrix, kernel_basis
 
 # word length of monodromy_image_type's search for -I among the images
 MINUS_I_WORD_BOUND = 12
@@ -139,30 +141,43 @@ def finite_order_class(m: IntMatrix) -> FiniteOrderClass:
 
 
 def _box_scan(m: IntMatrix, n: IntMatrix, bound: int):
-    """Yield every C in GL(2,Z) with entries within bound and C m = n C,
-    checked entrywise so that no candidate is inverted."""
-    ma, mb, mc, md = m.rows[0][0], m.rows[0][1], m.rows[1][0], m.rows[1][1]
-    na, nb, nc, nd = n.rows[0][0], n.rows[0][1], n.rows[1][0], n.rows[1][1]
-    rng = range(-bound, bound + 1)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    if a * d - b * c not in (1, -1):
-                        continue
-                    if (a * ma + b * mc == na * a + nb * c
-                            and a * mb + b * md == na * b + nb * d
-                            and c * ma + d * mc == nc * a + nd * c
-                            and c * mb + d * md == nc * b + nd * d):
-                        yield IntMatrix([[a, b], [c, d]])
+    """Yield every C = [[a, b], [c, d]] in GL(2,Z) with entries within
+    bound and C m = n C, in lexicographic order of (a, b, c, d).
+
+    The solutions of C m = n C form a lattice (rank 4 only for m = n = +-I,
+    else at most 2).  Its Hermite basis has positive pivots in increasing
+    columns, so each coefficient's range follows from the bound on its
+    pivot coordinate; walking the ranges upwards visits the lattice points
+    of the box in lexicographic order, at cost O((2 bound + 1)^rank).
+    """
+    (ma, mb), (mc, md) = m.rows
+    (na, nb), (nc, nd) = n.rows
+    basis = kernel_basis([[ma - na, mc, -nb, 0], [mb, md - na, 0, -nb],
+                          [-nc, 0, ma - nd, mc], [0, -nc, mb, md - nd]])
+
+    def walk(i, point):
+        if i < len(basis):
+            v = basis[i]
+            j = next(j for j, x in enumerate(v) if x)
+            # every k with |point[j] + k v[j]| <= bound, where v[j] > 0
+            for k in range(-((bound + point[j]) // v[j]),
+                           (bound - point[j]) // v[j] + 1):
+                yield from walk(i + 1, [p + k * y for p, y in zip(point, v)])
+        elif max(map(abs, point)) <= bound:
+            a, b, c, d = point
+            if a * d - b * c in (1, -1):
+                yield IntMatrix([[a, b], [c, d]])
+
+    return walk(0, [0, 0, 0, 0])
 
 
 def conjugate_in_gl2z(m: IntMatrix, n: IntMatrix,
                       bound: int = 10) -> IntMatrix | None:
     """Search for C in GL(2,Z) with C m C^-1 = n and entries within bound.
 
-    Exhaustive over the box, so a None only certifies absence of small
-    conjugators.
+    Exhaustive over the box (see _box_scan) and returns its
+    lexicographically first conjugator; a None only certifies that no
+    conjugator lies in the box, not that m and n are not conjugate.
     """
     _require_gl2(m)
     _require_gl2(n)
@@ -170,7 +185,8 @@ def conjugate_in_gl2z(m: IntMatrix, n: IntMatrix,
 
 
 def centralizer_sample(m: IntMatrix, bound: int) -> list[IntMatrix]:
-    """All C in GL(2,Z) with entries within bound commuting with m."""
+    """All C in GL(2,Z) with entries within bound commuting with m, in
+    lexicographic order; exhaustive over the box (see _box_scan)."""
     _require_gl2(m)
     return list(_box_scan(m, m, bound))
 

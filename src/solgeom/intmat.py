@@ -192,13 +192,14 @@ class IntMatrix:
             if not self.is_unimodular():
                 raise ValueError("negative power of a non-unimodular matrix")
             return self.inverse() ** (-k)
-        result = IntMatrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return IntMatrix.identity(self.n)
+        # left to right over the bits of k: M^12 takes 4 products, not 6
+        result = self
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def apply(self, v: IntVector) -> IntVector:

@@ -7,6 +7,7 @@ failures maps to exit code 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -127,11 +128,12 @@ def run_finite_subgroups(box: int = 6) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # two-ended: six-case typing is stable under swap and conjugation
 
-_CONJUGATORS = (
+# (C, C^-1) pairs
+_CONJUGATORS = tuple((c, c.inverse()) for c in (
     IntMatrix([[1, 1], [0, 1]]),
     IntMatrix([[1, 0], [-1, 1]]),
     IntMatrix([[2, 1], [1, 1]]),
-)
+))
 
 _SYNTHETIC_PAIRS = (
     # (generators, expected case)
@@ -148,7 +150,7 @@ def _mat(t):
     return IntMatrix([[t[0], t[1]], [t[2], t[3]]])
 
 
-def _check_two_ended(inst):
+def _check_two_ended(mats, inst):
     if isinstance(inst[1], int):
         # one of the _SYNTHETIC_PAIRS: (generators, expected case)
         gens, expected = inst
@@ -156,8 +158,7 @@ def _check_two_ended(inst):
         if typed.case != expected:
             return _fail(gens, f"case {expected}", f"case {typed.case}")
         return None
-    ta, tb = inst
-    a, b = _mat(ta), _mat(tb)
+    (a, conj_a), (b, conj_b) = mats[inst[0]], mats[inst[1]]
     try:
         typed = two_ended_type([a, b])
     except NotTwoEndedError:
@@ -171,9 +172,8 @@ def _check_two_ended(inst):
             return _fail(inst, "with both generators of order 2 the swapped "
                          "product is the inverse product",
                          "matrix identity failed")
-    for c in _CONJUGATORS:
-        ci = c.inverse()
-        conj = two_ended_type([c * a * ci, c * b * ci])
+    for ca, cb in zip(conj_a, conj_b):
+        conj = two_ended_type([ca, cb])
         if conj.case != typed.case:
             return _fail(inst, f"case {typed.case} under conjugation",
                          f"case {conj.case}")
@@ -181,11 +181,16 @@ def _check_two_ended(inst):
 
 
 def run_two_ended(box: int = 3) -> VerificationReport:
-    finite = [t for t in _unimodular_tuples(box)
-              if element_order(_mat(t)) is not None]
-    pairs = [(ta, tb) for ta in finite for tb in finite]
-    return _run("two-ended", pairs + list(_SYNTHETIC_PAIRS), _check_two_ended,
-                {"box": box})
+    # box tuple -> its matrix and that matrix's conjugates, built once and
+    # shared by every pair the tuple is in
+    mats = {}
+    for t in _unimodular_tuples(box):
+        m = _mat(t)
+        if element_order(m) is not None:
+            mats[t] = (m, [c * m * ci for c, ci in _CONJUGATORS])
+    pairs = [(ta, tb) for ta in mats for tb in mats]
+    return _run("two-ended", pairs + list(_SYNTHETIC_PAIRS),
+                functools.partial(_check_two_ended, mats), {"box": box})
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +442,15 @@ def run_suite(name: str, *, box: int | None = None,
               max_entry: int | None = None,
               a_max: int | None = None) -> VerificationReport:
     """Run one named suite; bound arguments left as None take the
-    suite's own default."""
+    suite's own default, and a negative bound raises ValueError."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(sorted(SUITES))}")
     kind, default, fn = SUITES[name]
     given = {"box": box, "max_entry": max_entry, "a_max": a_max}
+    for key, value in given.items():
+        if value is not None and value < 0:
+            raise ValueError(f"{key} must be at least 0, not {value}")
     if kind is None:
         return fn()
     value = given[kind]

@@ -91,6 +91,12 @@ def conjugacy_orbit_map(representatives, conj_bound, entry_bound):
     return orbits
 
 
+def intertwiner_box_scan(m, n, bound):
+    """Every C = (a, b, c, d) in the det +-1 box of size bound with C m = n C,
+    in lexicographic order, by visiting all (2 bound + 1)^4 quadruples."""
+    return [t for t in unimodular_box(bound) if mul2(t, m) == mul2(n, t)]
+
+
 # ---------------------------------------------------------------------------
 # integer linear algebra oracles
 

@@ -283,3 +283,23 @@ def test_malformed_description_is_one_error_document(capsys, tmp_path,
     assert len(lines) == 1
     out = json.loads(lines[0])
     assert out["schema"] == "solgeom/error-v1" and message in out["error"]
+
+
+@pytest.mark.parametrize("suite, flag, key", [
+    ("two-ended", "--box", "box"),
+    ("roundtrip", "--max", "max_entry"),
+    ("bordered-family", "--a-max", "a_max"),
+])
+def test_verify_rejects_negative_bound(capsys, suite, flag, key):
+    code = cli.main(["verify", suite, flag, "-1"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    out = json.loads(lines[0])
+    assert out["schema"] == "solgeom/error-v1"
+    assert out["error"] == f"{key} must be at least 0, not -1"
+
+
+def test_verify_accepts_zero_box(capsys):
+    code, out = run(capsys, "verify", "two-ended", "--box", "0")
+    assert code == 0 and out["parameters"] == {"box": 0}

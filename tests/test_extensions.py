@@ -467,3 +467,48 @@ def test_validation_rejections():
         ExtensionGroup("C2", 2, generators=("u",),
                        action={"u": [[1, 0], [0, -1]]},
                        cocycles={"u": (0, 1)})
+
+
+def _columns_by_counting(g):
+    """The nonzero exponent-sum columns of g.presentation()'s relators."""
+    pres = g.presentation()
+    index = {name: i for i, name in enumerate(pres.generators)}
+    cols = []
+    for rel in pres.relators:
+        col = [0] * len(pres.generators)
+        for name, exp in rel:
+            col[index[name]] += exp
+        if any(col):
+            cols.append(col)
+    return pres.generators, [[c[i] for c in cols]
+                             for i in range(len(pres.generators))]
+
+
+def test_relator_columns_match_presentation_exponent_sums():
+    groups = list(catalog.default_catalog().values())
+    groups += [catalog.pillowcase_group(p, q, r)
+               for p, q, r in ((3, 2, 4), (5, 4, 6), (7, 6, 8))]
+    # rank 0, every kind
+    for kind, gens in (("Trivial", ()), ("C2", ("g",)), ("Zq", ("g",)),
+                       ("ZxC2", ("g", "h")), ("Dinf", ("g", "h")),
+                       ("Klein", ("g", "h"))):
+        groups.append(ExtensionGroup(kind, 0, generators=gens,
+                                     action={g: None for g in gens}))
+    groups += [
+        ExtensionGroup("Trivial", 2),
+        ExtensionGroup("Zq", 2, generators=("s",),
+                       action={"s": [[2, 1], [1, 1]]}),
+        ExtensionGroup("ZxC2", 1, generators=("s", "g"),
+                       action={"s": [[1]], "g": [[-1]]},
+                       cocycles={"s": (3,)}),
+        ExtensionGroup("ZxC2", 2, generators=("s", "g"),
+                       action={"s": [[2, 1], [1, 1]], "g": [[-1, 0], [0, -1]]},
+                       cocycles={"s": (1, -2)}),
+        ExtensionGroup("Klein", 1, generators=("x", "y"),
+                       action={"x": [[1]], "y": [[-1]]}),
+        ExtensionGroup("C2", 2, generators=("u",),
+                       action={"u": [[0, 1], [1, 0]]}, cocycles={"u": (1, 1)}),
+    ]
+    assert {g.kind for g in groups} == set(extensions.QuotientKind)
+    for g in groups:
+        assert g._relator_matrix_rows() == _columns_by_counting(g)

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import random
 
 import pytest
 
@@ -205,6 +206,38 @@ def test_centralizer_of_noncentral_reps_is_finite():
         rep = cls.representative
         for c in centralizer_sample(rep, 6):
             assert element_order(c) is not None
+
+
+def _intertwiner_lattice_rank(m, n):
+    """Rank of the lattice of integer C with C m = n C: 4 minus the rank of
+    the linear map C -> C m - n C, whose columns are the images of the
+    four unit matrices."""
+    units = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    cols = [[x - y for x, y in zip(oracles.mul2(e, m), oracles.mul2(n, e))]
+            for e in units]
+    return 4 - oracles.rank_by_minors([list(r) for r in zip(*cols)])
+
+
+def test_scans_match_quartic_oracle():
+    # list and order both, at every bound from -1 to 5
+    rng = random.Random(8)
+    box = oracles.unimodular_box(2)
+    pairs = [(oracles.ID2, oracles.ID2),          # lattice rank 4
+             (oracles.ID2, (-1, 0, 0, -1)),       # rank 0
+             ((1, 1, 0, 1), (1, 0, 0, -1))]       # rank 1: shared eigenvalue
+    for _ in range(30):
+        m, c = rng.choice(box), rng.choice(box)
+        pairs.append((m, oracles.mul2(oracles.mul2(c, m), oracles.inv2(c))))
+        pairs.append((m, rng.choice(box)))
+    assert {_intertwiner_lattice_rank(m, n) for m, n in pairs} \
+        == {0, 1, 2, 4}
+    for bound in range(-1, 6):
+        for m, n in pairs:
+            want = oracles.intertwiner_box_scan(m, n, bound)
+            first = conjugate_in_gl2z(_mat(m), _mat(n), bound)
+            assert first == (_mat(want[0]) if want else None)
+            want = oracles.intertwiner_box_scan(m, m, bound)
+            assert centralizer_sample(_mat(m), bound) == [_mat(t) for t in want]
 
 
 # ---------------------------------------------------------------------------

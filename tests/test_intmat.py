@@ -73,6 +73,27 @@ def test_pow_edge_cases():
         IntMatrix([[2, 0], [0, 1]]) ** -1
 
 
+def test_pow_matches_repeated_multiplication():
+    # seeded unimodular matrices (products of elementary row operations and
+    # a sign), so that negative powers exist too; k up to 40 covers every
+    # bit pattern of length 6 and the k = 0 and k = 1 edges
+    rng = random.Random(40)
+    for n in range(1, MAX_DIM + 1):
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        rows = [r[:] for r in ident]
+        rows[0][0] = rng.choice((-1, 1))
+        for _ in range(3 * (n - 1)):
+            i, j = rng.sample(range(n), 2)
+            s = rng.choice((-1, 1))
+            rows[i] = [x + s * y for x, y in zip(rows[i], rows[j])]
+        m = IntMatrix(rows)
+        acc = ident
+        for k in range(41):
+            assert (m ** k).to_lists() == acc
+            assert oracles.mat_mul((m ** -k).to_lists(), acc) == ident
+            acc = oracles.mat_mul(acc, rows)
+
+
 def test_det_and_trace():
     assert PSI.det() == 1
     assert IntMatrix([[2, 2], [4, 2]]).det() == -4

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from solgeom import verify
 from solgeom.extensions import ExtensionGroup
-from solgeom.gl2z import element_order
+from solgeom.gl2z import NotTwoEndedError, element_order
 from solgeom.intmat import IntMatrix
 from solgeom.verify import VerificationReport, run_suite
 
@@ -62,6 +62,37 @@ def test_two_ended_counts_pairs_plus_synthetics():
     rep = run_suite("two-ended", box=2)
     assert rep.instances == len(finite) ** 2 + len(verify._SYNTHETIC_PAIRS)
     assert rep.ok
+
+
+def test_two_ended_types_each_pair_and_its_conjugates(monkeypatch):
+    # the suite types every box pair (a, b); a two-ended one also as
+    # (C a C^-1, C b C^-1) for each conjugator C, and in case 3 as (b, a)
+    original = verify.two_ended_type
+    calls = set()
+
+    def recording(gens):
+        calls.add(tuple(m.rows[0] + m.rows[1] for m in gens))
+        return original(gens)
+
+    monkeypatch.setattr(verify, "two_ended_type", recording)
+    assert run_suite("two-ended", box=1).ok
+    finite = [t for t in oracles.unimodular_box(1)
+              if oracles.order2_brute(t) is not None]
+    want = {gens for gens, _ in verify._SYNTHETIC_PAIRS}
+    for a in finite:
+        for b in finite:
+            want.add((a, b))
+            try:
+                typed = original([IntMatrix([a[:2], a[2:]]),
+                                  IntMatrix([b[:2], b[2:]])])
+            except NotTwoEndedError:
+                continue
+            if typed.case == 3:
+                want.add((b, a))
+            for c in ((1, 1, 0, 1), (1, 0, -1, 1), (2, 1, 1, 1)):
+                want.add(tuple(oracles.mul2(oracles.mul2(c, m),
+                                            oracles.inv2(c)) for m in (a, b)))
+    assert calls == want
 
 
 def test_bound_routing():
