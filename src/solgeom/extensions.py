@@ -126,6 +126,23 @@ class _H1Data(NamedTuple):
     diag: list[int]
 
 
+def _gf2_consistent(eqs: list[int], n: int) -> bool:
+    """Whether a linear system over GF(2) has a solution.  Each equation is
+    an int: bits 0..n-1 hold its coefficients, bit n its right-hand side.
+    Kept rows are reduced by the ones before them, so each owns its lowest
+    bit as pivot; an equation reduced to bit n alone reads 0 = 1."""
+    kept = []
+    for e in eqs:
+        for r in kept:
+            if e & r & -r:
+                e ^= r
+        if e == 1 << n:
+            return False
+        if e:
+            kept.append(e)
+    return True
+
+
 class ExtensionGroup:
     """A lattice extension with chosen quotient kind, actions and cocycles.
 
@@ -545,6 +562,14 @@ class ExtensionGroup:
         holds an involution (t, g) iff t + A_g t + s_g = 0, that is iff
         -s_g is in the image of I + A_g.  The witness is taken from the
         coset of u when it has one, else from that of v.
+
+        Each coset is tested mod 2 first and solved over Z only if it
+        passes: an integer solution reduces mod 2, so a failing coset holds
+        no involution.  For an involution A and an A-fixed s the converse
+        holds too, as Z^n is a sum of trivial, sign and regular
+        Z[C2]-lattices (Reiner, Proc. AMS 1957), on each of which -s is in
+        Im(I + A) exactly when it is mod 2; a torsion-free group takes no
+        integer solve.
         """
         if self.kind is not QuotientKind.DINF:
             raise ValueError("torsion search is defined for Dinf extensions "
@@ -556,8 +581,17 @@ class ExtensionGroup:
         """find_torsion's answer, decided once per group."""
         if self.rank == 0:
             return self.element((), (self.generators[0],))
-        ident = IntMatrix.identity(self.rank)
+        n = self.rank
+        ident = IntMatrix.identity(n)
         for g in self.generators:
+            # (I + A_g) t = s_g mod 2 as bit rows: bit j holds column j, with
+            # the diagonal bit flipped for I, and bit n the right-hand side
+            eqs = [sum((x & 1) << j for j, x in enumerate(row)) ^ (1 << i)
+                   | (c & 1) << n
+                   for i, (row, c) in enumerate(zip(self.action[g].rows,
+                                                    self.square_cocycle[g]))]
+            if not _gf2_consistent(eqs, n):
+                continue
             sol = solve_integer(self.action[g] + ident,
                                 vec_neg(self.square_cocycle[g]))
             if sol is not None:
@@ -612,9 +646,9 @@ class ExtensionGroup:
         read off the data: e_i - A_g e_i, then 2 g - s_g, the ZxC2 -c and
         the Klein 2 y (the lattice commutators sum to zero)."""
         # (lattice part, the quotient generator with exponent 2 or None)
-        parts = [(col, None) for g in (self.generators if self.rank else ())
-                 for col in (IntMatrix.identity(self.rank)
-                             - self.action[g]).columns()]
+        parts = [(tuple(int(k == i) - row[i]
+                        for k, row in enumerate(self.action[g].rows)), None)
+                 for g in self.generators for i in range(self.rank)]
         parts += [(vec_neg(self.square_cocycle[g]), g)
                   for g in self._involutive_generators()]
         if self.kind is QuotientKind.ZXC2:

@@ -102,8 +102,12 @@ def element_order(m: IntMatrix) -> int | None:
     |trace| > 2 is hyperbolic and with |trace| = 2 parabolic unless M = +-I,
     both of infinite order; |trace| < 2 gives order 6, 4 or 3.
     """
-    d = _require_gl2(m)
-    (a, b), (c, e) = m.rows
+    return _order(_require_gl2(m), m.rows)
+
+
+def _order(d: int, rows) -> int | None:
+    """element_order of the GL(2,Z) matrix with these rows and det d."""
+    (a, b), (c, e) = rows
     t = a + e
     if d == -1:
         return 2 if t == 0 else None
@@ -220,20 +224,20 @@ class TwoEndedType:
 def two_ended_type(generators: list[IntMatrix]) -> TwoEndedType:
     """Classify a two-ended subgroup given 1 or 2 generators, optionally
     with -I adjoined to the list."""
-    gens = []
+    gens = []  # (matrix, det): each det is taken once
     adjoined_minus = False
     for g in generators:
-        _require_gl2(g)
+        d = _require_gl2(g)
         if g == _ID:
             continue
         if g == _MINUS_ID:
             adjoined_minus = True
             continue
-        gens.append(g)
+        gens.append((g, d))
 
     if len(gens) == 1:
-        a = gens[0]
-        if element_order(a) is not None:
+        (a, d), = gens
+        if _order(d, a.rows) is not None:
             raise NotTwoEndedError("single generator has finite order")
         if adjoined_minus:
             return TwoEndedType(2, (a,), True, True)
@@ -243,12 +247,12 @@ def two_ended_type(generators: list[IntMatrix]) -> TwoEndedType:
     if len(gens) != 2:
         raise NotTwoEndedError(f"expected 1 or 2 generators besides +-I, "
                                f"got {len(gens)}")
-    a, b = gens
-    order_a, order_b = element_order(a), element_order(b)
+    (a, da), (b, db) = gens
+    order_a, order_b = _order(da, a.rows), _order(db, b.rows)
     if order_a not in (2, 4) or order_b not in (2, 4):
         raise NotTwoEndedError("two-generator input needs generator orders "
                                "2 or 4")
-    if element_order(a * b) is not None:
+    if _order(da * db, (a * b).rows) is not None:
         raise NotTwoEndedError("product AB has finite order")
 
     # put an order-4 generator first, for the case 5 witness convention

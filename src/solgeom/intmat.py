@@ -203,9 +203,19 @@ class IntMatrix:
         return result
 
     def apply(self, v: IntVector) -> IntVector:
-        if len(v) != self.n:
+        n = self.n
+        if len(v) != n:
             raise ValueError("dimension mismatch")
-        return tuple(sum(row[j] * v[j] for j in range(self.n)) for row in self.rows)
+        if n == 2:
+            (a, b), (c, d) = self.rows
+            x, y = v
+            return (a * x + b * y, c * x + d * y)
+        if n == 3:
+            (a, b, c), (d, e, f), (g, h, i) = self.rows
+            x, y, z = v
+            return (a * x + b * y + c * z, d * x + e * y + f * z,
+                    g * x + h * y + i * z)
+        return tuple(sum(x * y for x, y in zip(row, v)) for row in self.rows)
 
     # queries ---------------------------------------------------------------
 

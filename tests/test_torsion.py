@@ -3,11 +3,13 @@
 find_torsion decides torsion from the cosets of u and v alone.  The oracle
 searches every odd alternating word up to length 9 for a coset holding an
 involution, on plain lists; the two must agree, and every witness must
-square to 1 by the oracle's arithmetic.
+square to 1 by the oracle's arithmetic.  The mod-2 test that screens each
+coset before its integer solve is checked against solve_integer.
 """
 
 import itertools
 import json
+import os
 import random
 from collections import Counter
 from math import gcd
@@ -18,6 +20,7 @@ import oracles
 from solgeom import catalog, cli, extensions
 from solgeom.classifier import enumerate_invariants
 from solgeom.extensions import ExtensionGroup, from_description
+from solgeom.intmat import solve_integer
 
 
 def _mat_mul(a, b):
@@ -164,31 +167,128 @@ def test_find_torsion_on_description_groups():
                          {"u": [1], "v": [2]}) == "v"
 
 
+def _torsion_copy(p, q, r, w):
+    """The pillowcase data with s_u = -(I + U) w, so that (w, u) is an
+    involution and the coset of u passes the mod-2 test."""
+    action, cocycles = _pillowcase_data(p, q, r)
+    return _group(action, dict(cocycles, u=[-x for x in
+                                            _coboundary(action["u"], w)]))
+
+
 def test_witness_that_is_not_an_involution_raises(monkeypatch):
     # a wrong solve must not pass as a witness, also under python -O
     monkeypatch.setattr(extensions, "solve_integer",
                         lambda m, b: (1,) * len(b))
     with pytest.raises(RuntimeError, match="does not square"):
-        catalog.pillowcase_group(3, 2, 4).find_torsion()
+        _torsion_copy(3, 2, 4, [0, 1, -1]).find_torsion()
 
 
 def test_torsion_decided_once_per_group(monkeypatch, capsys):
     # `group torsion pillowcase(p,q,r)` meets the question twice, in the
-    # spec's torsion gate and in the command; the solves run once
-    real = extensions.solve_integer
-    solves = []
+    # spec's torsion gate and in the command; each coset is decided once,
+    # mod 2, and a torsion-free group takes no integer solve
+    real_test, real_solve = (extensions._gf2_consistent,
+                             extensions.solve_integer)
+    tests, solves = [], []
 
-    def counting(m, b):
+    def counting_test(eqs, n):
+        tests.append(n)
+        return real_test(eqs, n)
+
+    def counting_solve(m, b):
         solves.append(b)
-        return real(m, b)
+        return real_solve(m, b)
 
-    monkeypatch.setattr(extensions, "solve_integer", counting)
+    monkeypatch.setattr(extensions, "_gf2_consistent", counting_test)
+    monkeypatch.setattr(extensions, "solve_integer", counting_solve)
     assert cli.main(["group", "torsion", "pillowcase(3,2,4)"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["torsion_found"] is False
-    assert len(solves) == 2  # the cosets of u and of v, once each
+    assert len(tests) == 2 and not solves  # the cosets of u and of v
     g = catalog.pillowcase_group(3, 2, 4)
-    assert g.find_torsion() is None and len(solves) == 4
-    assert g.find_torsion() is None and len(solves) == 4
+    assert g.find_torsion() is None and len(tests) == 4
+    assert g.find_torsion() is None and len(tests) == 4
+    assert not solves
+    # the coset of u of a torsion copy passes, and its solve gives the witness
+    t = _torsion_copy(3, 2, 4, [0, 1, -1])
+    assert t.find_torsion().q == ("u",) and len(tests) == 5
+    assert len(solves) == 1
     with pytest.raises(ValueError):
         catalog.g2_group().find_torsion()
+
+
+def _parity_rows(rows, b):
+    """M x = b mod 2 as the bit rows extensions._gf2_consistent reads."""
+    n = len(rows[0])
+    return [sum((x & 1) << j for j, x in enumerate(row)) | (c & 1) << n
+            for row, c in zip(rows, b)], n
+
+
+def test_mod2_test_never_refuses_a_solvable_system():
+    with open(os.path.join(os.path.dirname(__file__),
+                           "pinned_solutions.json")) as f:
+        systems = [(rows, b) for rows, b, _ in json.load(f)["random"]]
+    rng = random.Random(20261019)
+    for _ in range(600):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        systems.append(([[rng.randint(-4, 4) for _ in range(nc)]
+                         for _ in range(nr)],
+                        [rng.randint(-6, 6) for _ in range(nr)]))
+    solvable = refused = 0
+    for rows, b in systems:
+        consistent = extensions._gf2_consistent(*_parity_rows(rows, b))
+        if solve_integer(rows, b) is not None:
+            solvable += 1
+            assert consistent, (rows, b)
+        refused += not consistent
+    assert solvable > 300 and refused > 50
+
+
+def _involution(rng, n):
+    """A random involution of Z^n, B D B^-1 with D a block sum of trivial
+    (1), sign (-1) and regular ([[0,1],[1,0]]) Z[C2]-lattices, and a random
+    vector it fixes, B f with f fixed by D."""
+    d = [[0] * n for _ in range(n)]
+    f = [0] * n
+    i = 0
+    while i < n:
+        kind = rng.choice(("trivial", "sign", "regular") if i + 1 < n
+                          else ("trivial", "sign"))
+        if kind == "regular":
+            d[i][i + 1] = d[i + 1][i] = 1
+            f[i] = f[i + 1] = rng.randint(-3, 3)
+            i += 2
+            continue
+        d[i][i] = 1 if kind == "trivial" else -1
+        f[i] = rng.randint(-3, 3) if kind == "trivial" else 0
+        i += 1
+    b, bi = _random_basis(rng, n, 2 * n) if n > 1 else ([[1]], [[1]])
+    return _mat_mul(_mat_mul(b, d), bi), _mat_vec(b, f)
+
+
+def test_mod2_test_decides_the_coset_exactly(monkeypatch):
+    # for an involution A and an A-fixed s, -s is in Im(I + A) over Z
+    # exactly when it is mod 2 (Reiner's trivial/sign/regular summands)
+    real = extensions._gf2_consistent
+    verdicts = []
+
+    def recording(eqs, n):
+        verdicts.append(real(eqs, n))
+        return verdicts[-1]
+
+    monkeypatch.setattr(extensions, "_gf2_consistent", recording)
+    rng = random.Random(20261020)
+    counts = Counter()
+    for n in range(1, 7):
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(200):
+            a, s = _involution(rng, n)
+            verdicts.clear()
+            torsion = _group({"u": a, "v": a},
+                             {"u": s, "v": s}).find_torsion()
+            iplus = [[x + y for x, y in zip(r, e)] for r, e in zip(a, ident)]
+            solvable = solve_integer(iplus, [-x for x in s]) is not None
+            assert verdicts[0] == solvable, (a, s)
+            assert (torsion is not None) == solvable
+            counts[solvable] += 1
+    assert counts[True] > 200 and counts[False] > 200
