@@ -3,8 +3,10 @@
 The complete invariant is a matrix [[p,q],[r,p]] with p odd, |p| > 1, q and
 r even positive, and p^2 - qr = 1, taken up to inversion; normalize picks
 the representative with q > 0.  from_extension recovers the invariant from
-raw involution data (U, V, s_u, s_v) by restricting to canonical sublattices
-and is basis-change invariant.
+raw involution data (U, V, s_u, s_v) with closed-form rank-3 lattice
+algebra (kernels of rank 1 are primitive cross products, a saturated plane
+is the orthogonal complement of its primitive normal) and is basis-change
+invariant.
 """
 
 from __future__ import annotations
@@ -13,13 +15,7 @@ from dataclasses import dataclass
 
 from . import catalog
 from .extensions import ExtensionGroup, FpPresentation
-from .intmat import (
-    IntMatrix,
-    IntVector,
-    kernel_basis,
-    saturation,
-    smith_rows,
-)
+from .intmat import IntMatrix, IntVector, primitive_vector
 
 
 class InvariantError(ValueError):
@@ -51,15 +47,8 @@ class PillowcaseInvariant:
     def matrix(self) -> IntMatrix:
         return IntMatrix([[self.p, self.q], [self.r, self.p]])
 
-    def inverse_matrix(self) -> IntMatrix:
-        return IntMatrix([[self.p, -self.q], [-self.r, self.p]])
-
     def to_record(self) -> dict:
         return {"p": self.p, "q": self.q, "r": self.r}
-
-    @classmethod
-    def from_record(cls, d: dict) -> "PillowcaseInvariant":
-        return cls(d["p"], d["q"], d["r"])
 
 
 def validate(m: IntMatrix) -> PillowcaseInvariant:
@@ -148,6 +137,15 @@ def from_extension(u: IntMatrix, v: IntMatrix, s_u: IntVector,
     hyperbolic on a rank-2 invariant sublattice N with a rank-1 fixed
     complement C, and the extension with the given square cocycles must be
     torsion-free.  The result does not depend on the ambient basis.
+
+    After the torsion gate everything is exact 3x3 arithmetic.  M = W - I
+    has rank 2 exactly when C is a line: C is spanned by the primitive
+    cross product of two rows of M, and N, the saturation of im M, is the
+    plane n.x = 0 for n the primitive cross product of two columns.  U and
+    V preserve N (U W U = W^-1), so v restricts to N; its eigenlines e+-
+    are the rank-1 kernels of n stacked on V -+ I, and they form a basis
+    of N exactly when cross(e+, e-) = +-n.  The invariant is V U on N in
+    that basis, up to the sign of each e+-, which normalize absorbs.
     """
     if u.n != 3 or v.n != 3:
         raise InvariantError("expected 3x3 actions")
@@ -165,57 +163,62 @@ def from_extension(u: IntMatrix, v: IntMatrix, s_u: IntVector,
         raise InvariantError(f"extension has torsion: witness "
                              f"(t={witness.t}, word={witness.q})")
 
-    w = u * v
-    fixed = kernel_basis(w - ident)
-    if len(fixed) != 1:
+    m = u * v - ident
+    c = _line_kernel(m.rows)
+    if c is None:
+        rank = 0 if m.det() else 2 if any(map(any, m.rows)) else 3
         raise InvariantError("the composite action is not hyperbolic: its "
-                             "fixed lattice has rank "
-                             f"{len(fixed)}, not 1")
-    c = fixed[0]
-    n_basis = saturation((w - ident).columns())
-    if len(n_basis) != 2:
-        raise InvariantError("the moved sublattice does not have rank 2")
-    if IntMatrix.from_columns([n_basis[0], n_basis[1], c]).det() == 0:
+                             f"fixed lattice has rank {rank}, not 1")
+    # W - I has rank 2, so its image saturates to the plane n.x = 0
+    n = _line_kernel(tuple(zip(*m.rows)))
+    if _dot(n, c) == 0:
         raise InvariantError("moved sublattice and fixed line do not span")
 
-    a_res, d_res = _restrict((u, v), n_basis)
-    # diagonalize the v-restriction over Z: need eigenbasis of determinant 1
-    plus = kernel_basis(d_res - IntMatrix.identity(2))
-    minus = kernel_basis(d_res + IntMatrix.identity(2))
-    if len(plus) != 1 or len(minus) != 1:
+    # eigenlines of v in that plane; they span it iff their cross is +-n
+    e_plus = _line_kernel((n, *(v - ident).rows))
+    e_minus = _line_kernel((n, *(v + ident).rows))
+    if e_plus is None or e_minus is None:
         raise InvariantError("v does not restrict to a reflection on the "
                              "moved sublattice")
-    basis = IntMatrix.from_columns([plus[0], minus[0]])
-    if not basis.is_unimodular():
+    d = _cross(e_plus, e_minus)
+    if d not in (n, tuple(-x for x in n)):
         raise InvariantError("v restricts to the non-diagonalizable "
                              "involution class on the moved sublattice")
-    a_diag = basis.inverse() * a_res * basis
-    psi = IntMatrix.diagonal((1, -1)) * a_diag
+    # psi is V U on the plane in the eigenbasis, by Cramer's rule on the
+    # coordinates other than k: y = a e+ + b e- gives a = (y x e-)_k / d_k
+    k = next(i for i, x in enumerate(n) if x)
+    vu = v * u
+    cols = [vu.apply(e) for e in (e_plus, e_minus)]
+    psi = IntMatrix([[_cross(y, e_minus)[k] // d[k] for y in cols],
+                     [_cross(e_plus, y)[k] // d[k] for y in cols]])
     if abs(psi.trace()) <= 2:
         raise InvariantError("the composite action is not hyperbolic on "
                              "the moved sublattice")
     return normalize(psi)
 
 
-def _restrict(mats, basis: list[IntVector]) -> list[IntMatrix]:
-    """Matrices of the given actions on the sublattice spanned by basis
-    (which each must preserve), from one Smith form P B Q = S of the basis
-    matrix B: B is independent, so B x = b has at most one solution,
-    x = Q (P b / diag S)."""
-    w = smith_rows([[vec[i] for vec in basis] for i in range(3)])
-    d0, d1 = w.s[0][0], w.s[1][1]
-    out = []
-    for m in mats:
-        cols = []
-        for vec in basis:
-            b = m.apply(vec)
-            c0, c1, c2 = (sum(x * y for x, y in zip(row, b)) for row in w.p)
-            if c2 or c0 % d0 or c1 % d1:
-                raise InvariantError("action does not preserve the sublattice")
-            cols.append(tuple(c0 // d0 * x + c1 // d1 * y
-                              for x, y in zip(w.qt[0], w.qt[1])))
-        out.append(IntMatrix.from_columns(cols))
-    return out
+def _dot(a: IntVector, b: IntVector) -> int:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a: IntVector, b: IntVector) -> IntVector:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _line_kernel(rows) -> IntVector | None:
+    """The primitive generator, first nonzero entry positive, of
+    {x in Z^3 : r.x = 0 for every row r} when that lattice has rank 1,
+    else None.  The first nonzero cross product of two rows spans it
+    exactly when every row is orthogonal to that cross product."""
+    for i, a in enumerate(rows):
+        for b in rows[i + 1:]:
+            x = _cross(a, b)
+            if any(x):
+                if any(_dot(r, x) for r in rows):
+                    return None
+                return primitive_vector(x)
+    return None
 
 
 def homology_report(inv: PillowcaseInvariant) -> dict:

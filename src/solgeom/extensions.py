@@ -714,10 +714,18 @@ class ExtensionGroup:
         return 0 if sign == 1 else 1
 
     def generator_characters(self) -> dict[str, int]:
-        """Orientation character of every lattice and quotient generator."""
+        """Orientation character of every lattice and quotient generator;
+        a quotient generator's word is its one letter g, so its sign is
+        det(A_g) times its axis sign (the axis sign alone at rank 0)."""
         out = {e: 0 for e in self.lattice_names}
         for g in self.generators:
-            out[g] = self.orientation_character(self.generator_element(g))
+            if self.axis_signs is None:
+                raise ValueError("group carries no axis signs; orientation "
+                                 "character is undefined")
+            sign = self.axis_signs[g]
+            if self.rank:
+                sign *= self.action[g].det()
+            out[g] = 0 if sign == 1 else 1
         return out
 
     def w1_factors_through_z4(self) -> bool:

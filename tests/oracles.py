@@ -4,7 +4,9 @@ Everything in here deliberately avoids the library's own algorithms: searches
 are exhaustive scans over boxes, invariant factors come from gcds of minors,
 and matrix arithmetic is done on raw tuples (or int64 numpy arrays, which are
 exact at these sizes).  If an oracle and the library disagree, the test fails;
-the oracle is never built on top of the code path it checks.
+the oracle is never built on top of the code path it checks.  The one oracle
+that uses the library, from_extension_by_kernels, does so through routines
+the checked path never calls.
 """
 
 from __future__ import annotations
@@ -14,6 +16,16 @@ from fractions import Fraction
 from math import gcd
 
 import numpy as np
+
+from solgeom.classifier import InvariantError, PillowcaseInvariant, normalize
+from solgeom.extensions import ExtensionGroup
+from solgeom.intmat import (
+    IntMatrix,
+    IntVector,
+    kernel_basis,
+    saturation,
+    smith_rows,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -394,3 +406,91 @@ def w1_lifts_to_z4(rows, chars):
                for col in cols):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# pillowcase invariant recovery through generic kernels and saturations
+#
+# The one oracle here built on the library: classifier.from_extension as it
+# was before its closed-form rewrite, kept as it was.  It reaches the
+# invariant through intmat's echelon kernels, saturation and a Smith-form
+# restriction, none of which the closed form calls, so the two agree only
+# if the closed form is right.
+
+
+def from_extension_by_kernels(u: IntMatrix, v: IntMatrix, s_u: IntVector,
+                              s_v: IntVector) -> PillowcaseInvariant:
+    """Recover the invariant from raw extension data, by kernels.
+
+    The words u, v must act by involutions; the composite W = U V must be
+    hyperbolic on a rank-2 invariant sublattice N with a rank-1 fixed
+    complement C, and the extension with the given square cocycles must be
+    torsion-free.  The result does not depend on the ambient basis.
+    """
+    if u.n != 3 or v.n != 3:
+        raise InvariantError("expected 3x3 actions")
+    ident = IntMatrix.identity(3)
+    if u * u != ident or v * v != ident:
+        raise InvariantError("u and v must act by involutions")
+
+    group = ExtensionGroup(
+        "Dinf", 3, generators=("u", "v"),
+        action={"u": u, "v": v},
+        cocycles={"u": tuple(s_u), "v": tuple(s_v)},
+    )
+    witness = group.find_torsion()
+    if witness is not None:
+        raise InvariantError(f"extension has torsion: witness "
+                             f"(t={witness.t}, word={witness.q})")
+
+    w = u * v
+    fixed = kernel_basis(w - ident)
+    if len(fixed) != 1:
+        raise InvariantError("the composite action is not hyperbolic: its "
+                             "fixed lattice has rank "
+                             f"{len(fixed)}, not 1")
+    c = fixed[0]
+    n_basis = saturation((w - ident).columns())
+    if len(n_basis) != 2:
+        raise InvariantError("the moved sublattice does not have rank 2")
+    if IntMatrix.from_columns([n_basis[0], n_basis[1], c]).det() == 0:
+        raise InvariantError("moved sublattice and fixed line do not span")
+
+    a_res, d_res = _restrict((u, v), n_basis)
+    # diagonalize the v-restriction over Z: need eigenbasis of determinant 1
+    plus = kernel_basis(d_res - IntMatrix.identity(2))
+    minus = kernel_basis(d_res + IntMatrix.identity(2))
+    if len(plus) != 1 or len(minus) != 1:
+        raise InvariantError("v does not restrict to a reflection on the "
+                             "moved sublattice")
+    basis = IntMatrix.from_columns([plus[0], minus[0]])
+    if not basis.is_unimodular():
+        raise InvariantError("v restricts to the non-diagonalizable "
+                             "involution class on the moved sublattice")
+    a_diag = basis.inverse() * a_res * basis
+    psi = IntMatrix.diagonal((1, -1)) * a_diag
+    if abs(psi.trace()) <= 2:
+        raise InvariantError("the composite action is not hyperbolic on "
+                             "the moved sublattice")
+    return normalize(psi)
+
+
+def _restrict(mats, basis: list[IntVector]) -> list[IntMatrix]:
+    """Matrices of the given actions on the sublattice spanned by basis
+    (which each must preserve), from one Smith form P B Q = S of the basis
+    matrix B: B is independent, so B x = b has at most one solution,
+    x = Q (P b / diag S)."""
+    w = smith_rows([[vec[i] for vec in basis] for i in range(3)])
+    d0, d1 = w.s[0][0], w.s[1][1]
+    out = []
+    for m in mats:
+        cols = []
+        for vec in basis:
+            b = m.apply(vec)
+            c0, c1, c2 = (sum(x * y for x, y in zip(row, b)) for row in w.p)
+            if c2 or c0 % d0 or c1 % d1:
+                raise InvariantError("action does not preserve the sublattice")
+            cols.append(tuple(c0 // d0 * x + c1 // d1 * y
+                              for x, y in zip(w.qt[0], w.qt[1])))
+        out.append(IntMatrix.from_columns(cols))
+    return out

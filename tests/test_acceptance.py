@@ -126,7 +126,7 @@ def test_criterion_3(capsys):
     set_match = sorted(got) == sorted(want)
     stable = all(
         normalize(inv.matrix()) == inv
-        and normalize(inv.inverse_matrix()) == inv
+        and normalize(IntMatrix([[inv.p, -inv.q], [-inv.r, inv.p]])) == inv
         for inv in enumerated)
     small = [(i.p, i.q, i.r) for i in enumerate_invariants(4)]
     small_ok = small == [(3, 2, 4), (3, 4, 2), (-3, 2, 4), (-3, 4, 2)]

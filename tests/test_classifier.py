@@ -1,5 +1,6 @@
 """Invariant validation, normalization, enumeration, and recovery."""
 
+import collections
 import os
 import random
 import subprocess
@@ -20,6 +21,7 @@ from solgeom.classifier import (
     presentation_from_invariant,
     validate,
 )
+from solgeom import intmat
 from solgeom.extensions import render_word
 from solgeom.intmat import IntMatrix
 
@@ -50,7 +52,6 @@ def test_invariant_constructor_rejects():
             PillowcaseInvariant(*bad)
     rec = PillowcaseInvariant(3, 2, 4).to_record()
     assert rec == {"p": 3, "q": 2, "r": 4}
-    assert PillowcaseInvariant.from_record(rec) == PillowcaseInvariant(3, 2, 4)
 
 
 def test_normalize_picks_positive_q():
@@ -153,6 +154,150 @@ def test_from_extension_rejections():
     with pytest.raises(InvariantError, match="3x3"):
         from_extension(IntMatrix.identity(2), IntMatrix.identity(2),
                        (0, 0), (0, 0))
+    with pytest.raises(InvariantError, match="do not span"):
+        # W - I has image and kernel in the plane z = 0
+        from_extension(IntMatrix([[1, -1, 1], [0, -1, 2], [0, 0, 1]]),
+                       IntMatrix([[1, 0, 0], [0, -1, 1], [0, 0, 1]]),
+                       (0, 1, 1), (1, 0, 0))
+    with pytest.raises(InvariantError, match="not restrict to a reflection"):
+        # u acts trivially, so v acts on the moved plane x = 0 as -I
+        from_extension(ident3, IntMatrix.diagonal((1, -1, -1)),
+                       (-1, -1, 0), (1, 0, 0))
+
+
+# involution classes of GL(3,Z), each with a basis of its fixed lattice:
+# the sign diagonals and the swap block beside +-1
+_INVOLUTION_CLASSES = [
+    (IntMatrix.diagonal((1, 1, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    (IntMatrix.diagonal((1, 1, -1)), ((1, 0, 0), (0, 1, 0))),
+    (IntMatrix.diagonal((1, -1, -1)), ((1, 0, 0),)),
+    (IntMatrix.diagonal((-1, -1, -1)), ()),
+    (IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), ((1, 1, 0), (0, 0, 1))),
+    (IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, -1]]), ((1, 1, 0),)),
+]
+
+
+def _random_involution(rng):
+    """A conjugate B D B^-1 of a class representative D, with a cocycle
+    B s for s a random point of D's fixed lattice."""
+    d, fixed = rng.choice(_INVOLUTION_CLASSES)
+    b = [[int(i == j) for j in range(3)] for i in range(3)]
+    binv = [row[:] for row in b]
+    # each row operation on B is undone by a column operation on B^-1
+    for _ in range(rng.randrange(2, 6)):
+        i, j = rng.sample(range(3), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        b[i] = [x + c * y for x, y in zip(b[i], b[j])]
+        for row in binv:
+            row[j] -= c * row[i]
+    if rng.random() < 0.5:
+        b[0] = [-x for x in b[0]]
+        for row in binv:
+            row[0] = -row[0]
+    b = IntMatrix(b)
+    s = [0, 0, 0]
+    for f in fixed:
+        k = rng.randrange(-3, 4)
+        s = [x + k * y for x, y in zip(s, f)]
+    return b * d * IntMatrix(binv), b.apply(tuple(s))
+
+
+def _recovery(f, args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# every message from_extension can raise; the torsion one ends in a witness
+_REACHABLE_REJECTIONS = {
+    "expected 3x3 actions",
+    "u and v must act by involutions",
+    "square cocycle of 'u' is not fixed by its action",
+    "extension has torsion",
+    *(f"the composite action is not hyperbolic: its fixed lattice has "
+      f"rank {k}, not 1" for k in (0, 2, 3)),
+    "moved sublattice and fixed line do not span",
+    "v does not restrict to a reflection on the moved sublattice",
+    "v restricts to the non-diagonalizable involution class on the moved "
+    "sublattice",
+    "the composite action is not hyperbolic on the moved sublattice",
+    *("neither the matrix nor its inverse is a valid invariant: " + m
+      for m in ("p is even; it must be odd",
+                "off-diagonal entries must be even")),
+}
+
+
+def test_from_extension_matches_kernel_oracle():
+    # the closed form against the echelon-kernel and Smith-form recovery:
+    # the same invariant or the same exception and message on every input
+    rng = random.Random(20261018)
+    inputs = [(IntMatrix.identity(2), IntMatrix.identity(2), (0, 0), (0, 0)),
+              (IntMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), V0, SU0, SV0),
+              (U0, V0, (1, 0, 0), SV0)]
+    wanted = {}
+    for inv in enumerate_invariants(20):
+        _, g = presentation_from_invariant(inv)
+        u, v = g.action["u"], g.action["v"]
+        su, sv = g.square_cocycle["u"], g.square_cocycle["v"]
+        for _ in range(4):
+            b = rand_unimodular(rng)
+            binv = b.inverse()
+            inputs.append((b * u * binv, b * v * binv,
+                           b.apply(su), b.apply(sv)))
+            wanted[len(inputs) - 1] = inv
+    for _ in range(20000):
+        (u, su), (v, sv) = _random_involution(rng), _random_involution(rng)
+        inputs.append((u, v, su, sv))
+    seen = set()
+    accepted = 0
+    for i, args in enumerate(inputs):
+        got = _recovery(from_extension, args)
+        assert got == _recovery(oracles.from_extension_by_kernels, args), args
+        if isinstance(got, PillowcaseInvariant):
+            accepted += 1
+            assert wanted.get(i, got) == got
+        else:
+            seen.add(got[1].split(": witness")[0])
+            assert i not in wanted
+    assert seen == _REACHABLE_REJECTIONS
+    assert accepted >= 52 * 4 + 100
+
+
+def test_torsion_free_recovery_takes_no_smith_form_or_kernel(monkeypatch):
+    # count every reference to the Smith form and the echelon kernels that
+    # any solgeom module holds; kernel_basis and saturation both reduce
+    # through _kernel_rows
+    rng = random.Random(5)
+    data = []
+    for inv in enumerate_invariants(8):
+        _, g = presentation_from_invariant(inv)
+        b = rand_unimodular(rng)
+        binv = b.inverse()
+        data.append((b * g.action["u"] * binv, b * g.action["v"] * binv,
+                     b.apply(g.square_cocycle["u"]),
+                     b.apply(g.square_cocycle["v"]), inv))
+    calls = collections.Counter()
+
+    def counted(f):
+        def wrapper(*args, **kwargs):
+            calls[f.__name__] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    targets = (intmat.smith_rows, intmat._kernel_rows, intmat.kernel_basis,
+               intmat.saturation)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "solgeom":
+            for f in targets:
+                if getattr(module, f.__name__, None) is f:
+                    monkeypatch.setattr(module, f.__name__, counted(f))
+    for u, v, su, sv, inv in data:
+        assert from_extension(u, v, su, sv) == inv
+    assert calls == {}
+    # the counters see the generic recovery
+    oracles.from_extension_by_kernels(*data[0][:4])
+    assert calls["_kernel_rows"] > 0
 
 
 def test_presentation_from_invariant():

@@ -180,6 +180,23 @@ def test_pillowcase_orientation_values():
     assert g.w1_factors_through_z4() is True
 
 
+def test_generator_characters_match_generator_elements():
+    groups = list(catalog.default_catalog().values()) + [
+        catalog.pillowcase_group(-3, 2, 4), catalog.g2_group(-1),
+        ExtensionGroup("C2", 0, generators=("g",), action={"g": None},
+                       axis_signs={"g": -1}),
+        ExtensionGroup("Trivial", 2)]
+    for g in groups:
+        if g.axis_signs is None and g.generators:
+            with pytest.raises(ValueError, match="no axis signs"):
+                g.generator_characters()
+            continue
+        want = {e: 0 for e in g.lattice_names}
+        want.update((x, g.orientation_character(g.generator_element(x)))
+                    for x in g.generators)
+        assert g.generator_characters() == want
+
+
 def test_w1_lift_obstruction():
     # reflection on Z with trivial square cocycle: the character sends the
     # reflection to 1 but its H1 image has order 2, so no lift to Z/4
