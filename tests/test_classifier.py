@@ -10,6 +10,7 @@ import textwrap
 import pytest
 
 import oracles
+from solgeom import intmat
 from solgeom.classifier import (
     InvariantError,
     PillowcaseInvariant,
@@ -21,7 +22,6 @@ from solgeom.classifier import (
     presentation_from_invariant,
     validate,
 )
-from solgeom import intmat
 from solgeom.extensions import render_word
 from solgeom.intmat import IntMatrix
 
