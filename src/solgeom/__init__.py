@@ -1,4 +1,4 @@
-"""solgeom: exact tools for lattice-by-virtually-cyclic groups.
+"""solgeom: exact tools for extensions of a lattice by a small quotient.
 
 Submodules:
     intmat      exact integer matrices, Smith normal form, lattice operations

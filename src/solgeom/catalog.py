@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .extensions import ExtensionGroup, from_description
-from .intmat import IntMatrix, kernel_basis
+from .intmat import IntMatrix, primitive_vector
 
 SOL4_NAMES = ("pillowcase", "kb-monodromy", "bordered", "B1-sd-theta")
 OTHER_NAMES = ("Dinf", "G2", "B1", "sigma")
@@ -133,11 +133,11 @@ def pillowcase_group(p: int, q: int, r: int) -> ExtensionGroup:
     """
     if p * p - q * r != 1:
         raise ValueError("p^2 - qr must be 1")
-    a = IntMatrix([[p, q], [-r, -p]])
-    ident = IntMatrix.identity(2)
     # A has trace 0 and det -1, so A != I and det(A - I) = 0: rank 1, and
-    # the fixed lattice is one line
-    (e, f), = kernel_basis(a - ident)
+    # the fixed lattice is the line spanned by (b, -a) for the first nonzero
+    # row (a, b) of A - I
+    a, b = (p - 1, q) if (p, q) != (1, 0) else (-r, -p - 1)
+    e, f = primitive_vector((b, -a))
     return ExtensionGroup(
         "Dinf", 3,
         lattice_names=("x", "y", "z"),

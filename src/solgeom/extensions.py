@@ -1,11 +1,14 @@
 """Exact arithmetic in lattice extensions 1 -> Z^n -> pi -> Q -> 1.
 
-The quotient Q is one of six virtually-cyclic kinds, each with a built-in
-unique normal form for its words.  An element of pi is a pair (t, q): a
-lattice translation followed by the canonical lift of the quotient word.
-Multiplication collects letter by letter; the only non-free relations are
-squares of involutive generators (g-hat^2 = lattice vector s_g) and, for the
-Z x C2 kind, one commutator cocycle ([s-hat, g-hat] = lattice vector).
+The quotient Q is one of six kinds: the virtually cyclic trivial, C2, Z,
+Z x C2 and D-infinity groups, and the Klein bottle group Z x| Z, which is
+not virtually cyclic.  Each kind has a built-in unique normal form for its
+words, kept in its entry of the _KINDS table.  An element of pi is a pair
+(t, q): a lattice translation followed by the canonical lift of the
+quotient word.  Multiplication collects letter by letter; the only
+relations that carry lattice vectors are squares of involutive generators
+(g-hat^2 = lattice vector s_g) and, for the Z x C2 kind, one commutator
+cocycle ([s-hat, g-hat] = lattice vector).
 
 This is enough group theory to compute torsion, abelianizations, centers,
 orientation characters, and to check homomorphisms exactly; no general word
@@ -48,31 +51,212 @@ class QuotientKind(enum.Enum):
     KLEIN = "Klein"
 
 
-# number of quotient generators per kind
-_ARITY = {
-    QuotientKind.TRIVIAL: 0,
-    QuotientKind.C2: 1,
-    QuotientKind.ZQ: 1,
-    QuotientKind.ZXC2: 2,
-    QuotientKind.DINF: 2,
-    QuotientKind.KLEIN: 2,
-}
+def _run(name, k) -> list[tuple[str, int]]:
+    """The letters of name^k, each with exponent +-1."""
+    return [(name, 1 if k > 0 else -1)] * abs(k)
+
+
+class _Kind:
+    """What a quotient kind decides for a group G of that kind: its arity,
+    its involutive generators, whether generator 0 carries a commutator
+    cocycle, its normal-form words (identity, check, letters, and append,
+    which an involutive letter reaches with exponent 1 only), its central
+    coset candidates, and its structural check and relator beyond the
+    action and square relators.  This base entry is the trivial kind."""
+
+    arity = 0
+    involutive = ()  # positions of the involutive generators
+    commutator = False
+    identity = ()
+
+    def check(self, G, q):
+        if q != ():
+            raise ValueError("trivial quotient admits only the empty word")
+        return ()
+
+    def letters(self, G, q):
+        return []
+
+    def central(self, G):
+        return []
+
+    def check_structure(self, G):
+        pass
+
+    def relator(self, G) -> Word | None:
+        return None
+
+
+class _C2(_Kind):
+    """Words 0 and 1, for g^0 and g."""
+
+    arity, involutive, identity = 1, (0,), 0
+
+    def check(self, G, q):
+        if q not in (0, 1):
+            raise ValueError("C2 word must be 0 or 1")
+        return q
+
+    def letters(self, G, q):
+        return _run(G.generators[0], q)
+
+    def append(self, G, t, q, name, exp):
+        if q == 0:
+            return t, 1
+        return vec_add(t, G.square_cocycle[name]), 0
+
+    def central(self, G):
+        g = G.generators[0]
+        return [1] if G.rank == 0 or G.action[g].is_identity() else []
+
+
+class _Zq(_Kind):
+    """Words are integers k, for s^k."""
+
+    arity, identity = 1, 0
+
+    def check(self, G, q):
+        if not isinstance(q, int):
+            raise ValueError("Zq word must be an integer")
+        return q
+
+    def letters(self, G, q):
+        return _run(G.generators[0], q)
+
+    def append(self, G, t, q, name, exp):
+        return t, q + exp
+
+    def central(self, G):
+        m = G._finite_action_order(G.generators[0])
+        return [] if m is None else [m]
+
+
+class _ZxC2(_Kind):
+    """Words are pairs (k, eps), for s^k g^eps with eps 0 or 1; the
+    cocycle under s records the commutator c = [s-hat, g-hat]."""
+
+    arity, involutive, commutator, identity = 2, (1,), True, (0, 0)
+
+    def check(self, G, q):
+        k, eps = q
+        if eps not in (0, 1):
+            raise ValueError("ZxC2 word must be (k, 0 or 1)")
+        return (k, eps)
+
+    def letters(self, G, q):
+        s, g = G.generators
+        return _run(s, q[0]) + _run(g, q[1])
+
+    def append(self, G, t, q, name, exp):
+        k, eps = q
+        if name == G.generators[1]:
+            if eps == 0:
+                return t, (k, 1)
+            s_g = G.square_cocycle[name]
+            return vec_add(t, G._apply_q((k, 0), s_g)), (k, 0)
+        if eps == 0:
+            return t, (k + exp, 0)
+        if exp == 1:
+            # g-hat s-hat = tau(-c) s-hat g-hat
+            c = vec_neg(G.comm_cocycle)
+            return vec_add(t, G._apply_q((k, 0), c)), (k + 1, 1)
+        return vec_add(t, G._apply_q((k - 1, 0), G.comm_cocycle)), (k - 1, 1)
+
+    def central(self, G):
+        s, g = G.generators
+        m = G._finite_action_order(s)
+        return ([] if m is None else [(m, 0)]) + (
+            [(0, 1)] if G.rank == 0 or G.action[g].is_identity() else [])
+
+    def check_structure(self, G):
+        s, g = G.generators
+        a, m = G.action[s], G.action[g]
+        if a * m != m * a:
+            raise ValueError("ZxC2 actions do not commute")
+        # conjugating g-hat^2 by s-hat forces (A - I) s_g = (I + G) c
+        s_g = G.square_cocycle[g]
+        if vec_sub(a.apply(s_g), s_g) != vec_add(
+                G.comm_cocycle, m.apply(G.comm_cocycle)):
+            raise ValueError("ZxC2 cocycles are inconsistent: "
+                             "(A - I) s_g != (I + G) c")
+
+    def relator(self, G):
+        s, g = G.generators
+        return ((s, 1), (g, 1), (s, -1), (g, -1)) + G._inverse_word(
+            G._vector_word(G.comm_cocycle))
+
+
+class _Dinf(_Kind):
+    """Words are alternating tuples of the two generator names."""
+
+    arity, involutive = 2, (0, 1)
+
+    def check(self, G, q):
+        q = tuple(q)
+        u, v = G.generators
+        for i, letter in enumerate(q):
+            if letter not in (u, v):
+                raise ValueError(f"unknown Dinf letter {letter!r}")
+            if i and q[i - 1] == letter:
+                raise ValueError("Dinf word is not alternating")
+        return q
+
+    def letters(self, G, q):
+        return [(letter, 1) for letter in q]
+
+    def append(self, G, t, q, name, exp):
+        if q and q[-1] == name:
+            rest = q[:-1]
+            return vec_add(t, G._apply_q(rest, G.square_cocycle[name])), rest
+        return t, q + (name,)
+
+
+class _Klein(_Kind):
+    """Words are pairs (alpha, beta), for x^alpha y^beta, with
+    x y x^-1 = y^-1."""
+
+    arity, identity = 2, (0, 0)
+
+    def check(self, G, q):
+        a, b = q
+        return (int(a), int(b))
+
+    def letters(self, G, q):
+        x, y = G.generators
+        return _run(x, q[0]) + _run(y, q[1])
+
+    def append(self, G, t, q, name, exp):
+        a, b = q
+        if name == G.generators[0]:
+            return t, (a + exp, -b)
+        return t, (a, b + exp)
+
+    def central(self, G):
+        m = G._finite_action_order(G.generators[0], even_only=True)
+        return [] if m is None else [(m, 0)]
+
+    def check_structure(self, G):
+        mx, my = (G.action[x] for x in G.generators)
+        if mx * my * mx.inverse() != my.inverse():
+            raise ValueError("Klein actions do not satisfy x y x^-1 = y^-1")
+
+    def relator(self, G):
+        x, y = G.generators
+        return ((x, 1), (y, 1), (x, -1), (y, 1))
+
+
+_KINDS = {QuotientKind.TRIVIAL: _Kind(), QuotientKind.C2: _C2(),
+          QuotientKind.ZQ: _Zq(), QuotientKind.ZXC2: _ZxC2(),
+          QuotientKind.DINF: _Dinf(), QuotientKind.KLEIN: _Klein()}
 
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Normal form (t, q): lattice part t, quotient word q.
-
-    The word encoding depends on the kind: C2 stores 0/1, Zq an integer
-    exponent, ZxC2 a pair (k, eps), Dinf an alternating tuple of generator
-    names, Klein a pair (alpha, beta) meaning x^alpha y^beta.
-    """
+    """Normal form (t, q): lattice part t, quotient word q, in the word
+    format of its kind's _KINDS entry."""
 
     t: IntVector
     q: object
-
-    def __repr__(self):
-        return f"GroupElement(t={self.t}, q={self.q!r})"
 
 
 Word = tuple  # ((name, exponent), ...) pairs over an FpPresentation
@@ -156,6 +340,7 @@ class ExtensionGroup:
     def __init__(self, kind, rank, lattice_names=None, generators=None,
                  action=None, cocycles=None, axis_signs=None, name=None):
         self.kind = QuotientKind(kind)
+        self._k = _KINDS[self.kind]
         if not isinstance(rank, int) or isinstance(rank, bool):
             raise ValueError(f"rank must be an integer, not {rank!r}")
         if rank < 0:
@@ -167,7 +352,7 @@ class ExtensionGroup:
         if len(self.lattice_names) != rank:
             raise ValueError("lattice_names length must equal rank")
 
-        arity = _ARITY[self.kind]
+        arity = self._k.arity
         if generators is None:
             if arity:
                 raise ValueError(f"kind {self.kind.value} needs {arity} "
@@ -200,21 +385,23 @@ class ExtensionGroup:
             self.action[g] = m
 
         cocycles = dict(cocycles or {})
-        allowed = set(self._involutive_generators())
-        if self.kind is QuotientKind.ZXC2:
+        involutive = [self.generators[i] for i in self._k.involutive]
+        allowed = set(involutive)
+        if self._k.commutator:
             allowed.add(self.generators[0])
         for g in cocycles:
             if g not in allowed:
                 raise ValueError(f"cocycle attached to {g!r}, which admits "
                                  f"none")
+        # keyed by exactly the involutive generators, in generator order
         self.square_cocycle = {}
-        for g in self._involutive_generators():
+        for g in involutive:
             v = tuple(map(operator.index, cocycles.get(g, (0,) * rank)))
             if len(v) != rank:
                 raise ValueError(f"cocycle of {g!r} has wrong length")
             self.square_cocycle[g] = v
         self.comm_cocycle = None
-        if self.kind is QuotientKind.ZXC2:
+        if self._k.commutator:
             v = tuple(map(operator.index,
                           cocycles.get(self.generators[0], (0,) * rank)))
             if len(v) != rank:
@@ -237,98 +424,29 @@ class ExtensionGroup:
 
     # -- structural checks --------------------------------------------------
 
-    def _involutive_generators(self) -> tuple[str, ...]:
-        k = self.kind
-        if k is QuotientKind.C2:
-            return (self.generators[0],)
-        if k is QuotientKind.ZXC2:
-            return (self.generators[1],)
-        if k is QuotientKind.DINF:
-            return self.generators
-        return ()
-
     def _validate_structure(self):
         if self.rank == 0:
             return
         ident = IntMatrix.identity(self.rank)
-        for g in self._involutive_generators():
+        for g, s in self.square_cocycle.items():
             m = self.action[g]
             if m * m != ident:
                 raise ValueError(f"action of involutive generator {g!r} does "
                                  f"not square to I")
-            s = self.square_cocycle[g]
             if m.apply(s) != s:
                 raise ValueError(f"square cocycle of {g!r} is not fixed by "
                                  f"its action")
-        if self.kind is QuotientKind.KLEIN:
-            x, y = self.generators
-            mx, my = self.action[x], self.action[y]
-            if mx * my * mx.inverse() != my.inverse():
-                raise ValueError("Klein actions do not satisfy "
-                                 "x y x^-1 = y^-1")
-        if self.kind is QuotientKind.ZXC2:
-            s, g = self.generators
-            a, m = self.action[s], self.action[g]
-            if a * m != m * a:
-                raise ValueError("ZxC2 actions do not commute")
-            # conjugating g-hat^2 by s-hat forces (A - I) s_g = (I + G) c
-            lhs = vec_sub(a.apply(self.square_cocycle[g]),
-                          self.square_cocycle[g])
-            rhs = vec_add(self.comm_cocycle, m.apply(self.comm_cocycle))
-            if lhs != rhs:
-                raise ValueError("ZxC2 cocycles are inconsistent: "
-                                 "(A - I) s_g != (I + G) c")
+        self._k.check_structure(self)
 
     # -- normal forms -------------------------------------------------------
-
-    def _q_identity(self):
-        k = self.kind
-        if k in (QuotientKind.TRIVIAL, QuotientKind.DINF):
-            return ()
-        if k in (QuotientKind.C2, QuotientKind.ZQ):
-            return 0
-        return (0, 0)
-
-    def _check_q(self, q):
-        k = self.kind
-        if k is QuotientKind.TRIVIAL:
-            if q != ():
-                raise ValueError("trivial quotient admits only the empty "
-                                 "word")
-            return ()
-        if k is QuotientKind.C2:
-            if q not in (0, 1):
-                raise ValueError("C2 word must be 0 or 1")
-            return q
-        if k is QuotientKind.ZQ:
-            if not isinstance(q, int):
-                raise ValueError("Zq word must be an integer")
-            return q
-        if k is QuotientKind.ZXC2:
-            kk, eps = q
-            if eps not in (0, 1):
-                raise ValueError("ZxC2 word must be (k, 0 or 1)")
-            return (kk, eps)
-        if k is QuotientKind.KLEIN:
-            a, b = q
-            return (int(a), int(b))
-        # Dinf: alternating tuple of the two generator names
-        q = tuple(q)
-        u, v = self.generators
-        for i, letter in enumerate(q):
-            if letter not in (u, v):
-                raise ValueError(f"unknown Dinf letter {letter!r}")
-            if i and q[i - 1] == letter:
-                raise ValueError("Dinf word is not alternating")
-        return q
 
     def element(self, t, q=None) -> GroupElement:
         t = tuple(t)
         if len(t) != self.rank:
             raise ValueError("lattice part has wrong length")
         if q is None:
-            q = self._q_identity()
-        return GroupElement(t, self._check_q(q))
+            q = self._k.identity
+        return GroupElement(t, self._k.check(self, q))
 
     def identity(self) -> GroupElement:
         return self.element((0,) * self.rank)
@@ -337,7 +455,7 @@ class ExtensionGroup:
         zero = (0,) * self.rank
         if name not in self.generators:
             raise ValueError(f"unknown quotient generator {name!r}")
-        t, q = self._append_one(zero, self._q_identity(), name, 1)
+        t, q = self._append_one(zero, self._k.identity, name, 1)
         return GroupElement(t, q)
 
     def generator_elements(self) -> list[GroupElement]:
@@ -353,34 +471,12 @@ class ExtensionGroup:
 
     # -- quotient word helpers ---------------------------------------------
 
-    def _q_letters(self, q) -> list[tuple[str, int]]:
-        """Canonical letter sequence of a normal-form word, exponents +-1."""
-        k = self.kind
-        if k is QuotientKind.TRIVIAL:
-            return []
-        if k is QuotientKind.C2:
-            g = self.generators[0]
-            return [(g, 1)] * q
-        if k is QuotientKind.ZQ:
-            s = self.generators[0]
-            return [(s, 1 if q > 0 else -1)] * abs(q)
-        if k is QuotientKind.ZXC2:
-            s, g = self.generators
-            kk, eps = q
-            return [(s, 1 if kk > 0 else -1)] * abs(kk) + [(g, 1)] * eps
-        if k is QuotientKind.KLEIN:
-            x, y = self.generators
-            a, b = q
-            return ([(x, 1 if a > 0 else -1)] * abs(a)
-                    + [(y, 1 if b > 0 else -1)] * abs(b))
-        return [(letter, 1) for letter in q]
-
     def element_to_word(self, a: GroupElement) -> str:
         """Normal-form word for an element: lattice letters first, then the
         quotient word, with runs collapsed to name^exp."""
         letters = [(self.lattice_names[i], a.t[i])
                    for i in range(self.rank) if a.t[i]]
-        for name, exp in self._q_letters(a.q):
+        for name, exp in self._k.letters(self, a.q):
             if letters and letters[-1][0] == name:
                 prev, total = letters[-1]
                 if total + exp == 0:
@@ -396,7 +492,7 @@ class ExtensionGroup:
         if self.rank == 0:
             return None
         m = IntMatrix.identity(self.rank)
-        for name, exp in self._q_letters(q):
+        for name, exp in self._k.letters(self, q):
             a = self.action[name]
             m = m * (a if exp == 1 else a.inverse())
         return m
@@ -410,71 +506,26 @@ class ExtensionGroup:
 
     def _append_one(self, t, q, name, exp):
         """Right-multiply (t, q) by a single generator letter name^exp."""
-        k = self.kind
-        if k is QuotientKind.ZQ:
-            return t, q + exp
-        if k is QuotientKind.KLEIN:
-            x, y = self.generators
-            a, b = q
-            if name == x:
-                return t, (a + exp, -b)
-            return t, (a, b + exp)
-        if k is QuotientKind.ZXC2:
-            return self._append_zxc2(t, q, name, exp)
-        # remaining kinds carry involutive letters only
-        s_g = self.square_cocycle[name]
-        if exp == -1:
+        s_g = self.square_cocycle.get(name)
+        if exp == -1 and s_g is not None:
             # g-hat^-1 = tau(-s_g) g-hat
-            t = vec_add(t, self._apply_q(q, vec_neg(s_g)))
-        if k is QuotientKind.C2:
-            if q == 0:
-                return t, 1
-            return vec_add(t, s_g), 0
-        # Dinf
-        if q and q[-1] == name:
-            rest = q[:-1]
-            return vec_add(t, self._apply_q(rest, s_g)), rest
-        return t, q + (name,)
-
-    def _append_zxc2(self, t, q, name, exp):
-        s_name, g_name = self.generators
-        kk, eps = q
-        if name == s_name:
-            if eps == 1:
-                a = self.action[s_name] if self.rank else None
-                if exp == 1:
-                    # g-hat s-hat = tau(-c) s-hat g-hat
-                    corr = vec_neg(self.comm_cocycle)
-                    shift = (a ** kk).apply(corr) if self.rank else ()
-                    return vec_add(t, shift), (kk + 1, 1)
-                shift = ((a ** (kk - 1)).apply(self.comm_cocycle)
-                         if self.rank else ())
-                return vec_add(t, shift), (kk - 1, 1)
-            return t, (kk + exp, 0)
-        # name == g_name
-        s_g = self.square_cocycle[g_name]
-        if exp == -1:
-            t = vec_add(t, self._apply_q(q, vec_neg(s_g)))
-        if eps == 0:
-            return t, (kk, 1)
-        a = self.action[s_name] if self.rank else None
-        shift = (a ** kk).apply(s_g) if self.rank else ()
-        return vec_add(t, shift), (kk, 0)
+            t, exp = vec_add(t, self._apply_q(q, vec_neg(s_g))), 1
+        return self._k.append(self, t, q, name, exp)
 
     def element_mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
         a = self.element(a.t, a.q)
         b = self.element(b.t, b.q)
         t = vec_add(a.t, self._apply_q(a.q, b.t))
         q = a.q
-        for name, exp in self._q_letters(b.q):
+        for name, exp in self._k.letters(self, b.q):
             t, q = self._append_one(t, q, name, exp)
         return GroupElement(t, q)
 
     def element_inv(self, a: GroupElement) -> GroupElement:
         a = self.element(a.t, a.q)
         zero = (0,) * self.rank
-        t, q = zero, self._q_identity()
-        for name, exp in reversed(self._q_letters(a.q)):
+        t, q = zero, self._k.identity
+        for name, exp in reversed(self._k.letters(self, a.q)):
             t, q = self._append_one(t, q, name, -exp)
         partial = GroupElement(t, q)
         # a * partial is a pure translation tau(r), since collection gives
@@ -522,35 +573,12 @@ class ExtensionGroup:
 
     # -- torsion ------------------------------------------------------------
 
-    def _q_order(self, q) -> int | None:
-        """Order of the word in the quotient group; None for infinite."""
-        k = self.kind
-        if k is QuotientKind.TRIVIAL:
-            return 1
-        if k is QuotientKind.C2:
-            return 1 if q == 0 else 2
-        if k is QuotientKind.ZQ:
-            return 1 if q == 0 else None
-        if k is QuotientKind.ZXC2:
-            kk, eps = q
-            if kk != 0:
-                return None
-            return 1 if eps == 0 else 2
-        if k is QuotientKind.KLEIN:
-            return 1 if q == (0, 0) else None
-        if not q:
-            return 1
-        return 2 if len(q) % 2 == 1 else None
-
     def is_torsion(self, a: GroupElement) -> bool:
-        a = self.element(a.t, a.q)
-        order = self._q_order(a.q)
-        if order is None:
-            return False
-        if order == 1:
-            return is_zero_vector(a.t)
-        # a^order lies in the lattice: its quotient word is q(a)^order = 1
-        return is_zero_vector(self.element_pow(a, order).t)
+        """Exact: a has finite order iff a^2 = 1.  Z^n is torsion-free and
+        every finite-order element of each quotient has order 1 or 2, so a
+        torsion element squares into the lattice and has a torsion, hence
+        zero, square."""
+        return self.element_mul(a, a) == self.identity()
 
     def find_torsion(self) -> GroupElement | None:
         """A torsion element of a Dinf extension, or None if there is none.
@@ -624,18 +652,11 @@ class ExtensionGroup:
                 image = self.action[g].column(i) if self.rank else ()
                 rels.append(((g, 1), (e, 1), (g, -1))
                             + self._inverse_word(self._vector_word(image)))
-        for g in self._involutive_generators():
+        for g, s in self.square_cocycle.items():
             rels.append(((g, 1), (g, 1))
-                        + self._inverse_word(
-                            self._vector_word(self.square_cocycle[g])))
-        if self.kind is QuotientKind.ZXC2:
-            s, g = self.generators
-            rels.append(((s, 1), (g, 1), (s, -1), (g, -1))
-                        + self._inverse_word(
-                            self._vector_word(self.comm_cocycle)))
-        if self.kind is QuotientKind.KLEIN:
-            x, y = self.generators
-            rels.append(((x, 1), (y, 1), (x, -1), (y, 1)))
+                        + self._inverse_word(self._vector_word(s)))
+        if (rel := self._k.relator(self)) is not None:
+            rels.append(rel)
         return FpPresentation(gens, tuple(rels))
 
     # -- homology -----------------------------------------------------------
@@ -643,22 +664,19 @@ class ExtensionGroup:
     def _relator_matrix_rows(self):
         """Abelianized relator matrix: rows = generators, columns = the
         nonzero exponent sums of presentation()'s relators, in its order,
-        read off the data: e_i - A_g e_i, then 2 g - s_g, the ZxC2 -c and
-        the Klein 2 y (the lattice commutators sum to zero)."""
+        read off the data: e_i - A_g e_i, then 2 g - s_g, then the kind's
+        relator (the lattice commutators sum to zero)."""
         # (lattice part, the quotient generator with exponent 2 or None)
         parts = [(tuple(int(k == i) - row[i]
                         for k, row in enumerate(self.action[g].rows)), None)
                  for g in self.generators for i in range(self.rank)]
-        parts += [(vec_neg(self.square_cocycle[g]), g)
-                  for g in self._involutive_generators()]
-        if self.kind is QuotientKind.ZXC2:
-            parts.append((vec_neg(self.comm_cocycle), None))
-        if self.kind is QuotientKind.KLEIN:
-            parts.append(((0,) * self.rank, self.generators[1]))
+        parts += [(vec_neg(s), g) for g, s in self.square_cocycle.items()]
         cols = [list(t) + [2 * (h == g) for h in self.generators]
                 for t, g in parts]
-        cols = [c for c in cols if any(c)]
         gens = self.lattice_names + self.generators
+        if (rel := self._k.relator(self)) is not None:
+            cols.append([sum(e for x, e in rel if x == h) for h in gens])
+        cols = [c for c in cols if any(c)]
         return gens, [[c[i] for c in cols] for i in range(len(gens))]
 
     @cached_property
@@ -709,7 +727,7 @@ class ExtensionGroup:
                              "character is undefined")
         a = self.element(a.t, a.q)
         sign = 1 if self.rank == 0 else self._word_matrix(a.q).det()
-        for name, _ in self._q_letters(a.q):
+        for name, _ in self._k.letters(self, a.q):
             sign *= self.axis_signs[name]
         return 0 if sign == 1 else 1
 
@@ -795,35 +813,10 @@ class ExtensionGroup:
         return kernel_basis(stacked)
 
     def _central_quotient_generators(self):
-        """Candidate central elements with nontrivial quotient word, solved
-        and verified; at most one per quotient direction."""
-        candidates = []
-        k = self.kind
-        if k is QuotientKind.ZQ:
-            m = self._finite_action_order(self.generators[0])
-            if m is not None:
-                candidates.append(m)
-        elif k is QuotientKind.C2:
-            if self.rank == 0 or self.action[self.generators[0]].is_identity():
-                candidates.append(1)
-        elif k is QuotientKind.KLEIN:
-            x = self.generators[0]
-            m = self._finite_action_order(x, even_only=True)
-            if m is not None:
-                candidates.append((m, 0))
-        elif k is QuotientKind.ZXC2:
-            s, g = self.generators
-            m = self._finite_action_order(s)
-            if m is not None:
-                candidates.append((m, 0))
-            if self.rank == 0 or self.action[g].is_identity():
-                candidates.append((0, 1))
-        out = []
-        for q in candidates:
-            elt = self._solve_central_in_coset(q)
-            if elt is not None:
-                out.append(elt)
-        return out
+        """Central elements with nontrivial quotient word: the kind's
+        candidates, at most one per quotient direction, solved exactly."""
+        return [z for z in map(self._solve_central_in_coset,
+                               self._k.central(self)) if z is not None]
 
     def _finite_action_order(self, g, even_only=False):
         """Least positive (even, if asked) k with action(g)^k = I, or None.
@@ -844,7 +837,6 @@ class ExtensionGroup:
     def _solve_central_in_coset(self, q) -> GroupElement | None:
         """A central element (t, q) if the commutation equations admit an
         integer solution t, else None."""
-        q = self._check_q(q)
         base = self.element((0,) * self.rank, q)
         if self.rank == 0:
             if all(self.conjugate(h, base) == base
@@ -857,7 +849,7 @@ class ExtensionGroup:
         for g in self.generators:
             h = self.generator_element(g)
             conj = self.conjugate(h, base)
-            if conj.q != q:
+            if conj.q != base.q:
                 return None
             # h (t,q) h^-1 = (rho(g) t + d, q) must equal (t, q)
             diff = self.action[g] - ident
@@ -866,7 +858,7 @@ class ExtensionGroup:
         sol = solve_integer(stacked, rhs) if stacked else (0,) * self.rank
         if sol is None:
             return None
-        return self.element(sol, q)
+        return self.element(sol, base.q)
 
     # -- I(G) ---------------------------------------------------------------
 
@@ -895,9 +887,9 @@ class ExtensionGroup:
                        for g in self.generators},
         }
         cocycles = {}
-        for g in self._involutive_generators():
-            if not is_zero_vector(self.square_cocycle[g]):
-                cocycles[g] = list(self.square_cocycle[g])
+        for g, s in self.square_cocycle.items():
+            if not is_zero_vector(s):
+                cocycles[g] = list(s)
         if self.comm_cocycle is not None \
                 and not is_zero_vector(self.comm_cocycle):
             cocycles[self.generators[0]] = list(self.comm_cocycle)
@@ -970,7 +962,7 @@ def from_description(d: dict) -> ExtensionGroup:
     given_action = d.get("action") or {}
     generators = d.get("generators")
     if generators is None:
-        if _ARITY[kind] <= 1:
+        if _KINDS[kind].arity <= 1:
             generators = list(given_action)
         else:
             raise ValueError("description needs a generators list to fix "
@@ -1031,7 +1023,7 @@ def induced_lattice_matrix(lattice_names, images: dict,
     cols = []
     for name in lattice_names:
         img = images[name]
-        if img.q != target._q_identity():
+        if img.q != target._k.identity:
             raise ValueError(f"image of lattice generator {name!r} is not "
                              f"a lattice element")
         cols.append(img.t)

@@ -10,7 +10,8 @@ det = -1 involution classes) is separated by reduction mod 2.
 Conjugacy and centralizer searches share one box scan, exhaustive over the
 lattice of solutions of C m = n C at cost O((2B+1)^rank) for box bound B;
 a conjugacy search that finds nothing certifies only that no conjugator
-lies in the box.
+lies in the box.  Two-ended subgroup typing and monodromy image typing are
+exact.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ import enum
 from dataclasses import dataclass
 
 from .intmat import IntMatrix, kernel_basis
-
-# word length of monodromy_image_type's search for -I among the images
-MINUS_I_WORD_BOUND = 12
 
 
 class FiniteOrderClass(enum.Enum):
@@ -210,15 +208,14 @@ class TwoEndedType:
     case 5: <A, B>, A^2 = -I, B^2 = I
     case 6: <A, B>, A^2 = B^2 = -I
 
-    has_minus_i is decided exactly in every case, so minus_i_certain is
-    always True.  In case 3, AB has infinite order, so <A, B> is infinite
-    dihedral; its centre is trivial, and -I, being central, is not in it.
+    has_minus_i is decided exactly in every case.  In case 3, AB has
+    infinite order, so <A, B> is infinite dihedral; its centre is trivial,
+    and -I, being central, is not in it.
     """
 
     case: int
     witnesses: tuple[IntMatrix, ...]
     has_minus_i: bool
-    minus_i_certain: bool
 
 
 def two_ended_type(generators: list[IntMatrix]) -> TwoEndedType:
@@ -240,9 +237,9 @@ def two_ended_type(generators: list[IntMatrix]) -> TwoEndedType:
         if _order(d, a.rows) is not None:
             raise NotTwoEndedError("single generator has finite order")
         if adjoined_minus:
-            return TwoEndedType(2, (a,), True, True)
+            return TwoEndedType(2, (a,), True)
         # a^k = -I would force finite order, so -I is provably absent
-        return TwoEndedType(1, (a,), False, True)
+        return TwoEndedType(1, (a,), False)
 
     if len(gens) != 2:
         raise NotTwoEndedError(f"expected 1 or 2 generators besides +-I, "
@@ -262,15 +259,15 @@ def two_ended_type(generators: list[IntMatrix]) -> TwoEndedType:
 
     # order 4 forces det 1 and trace 0, so A^2 = -I by Cayley-Hamilton
     if order_a == 4 and order_b == 4:
-        return TwoEndedType(6, (a, b), True, True)
+        return TwoEndedType(6, (a, b), True)
     if order_a == 4:
-        return TwoEndedType(5, (a, b), True, True)
+        return TwoEndedType(5, (a, b), True)
 
     # both involutions: (AB)^k = -I would give (AB)^2k = I, against the
     # infinite order of AB, so -I is in the group only if adjoined
     if adjoined_minus:
-        return TwoEndedType(4, (a, b), True, True)
-    return TwoEndedType(3, (a, b), False, True)
+        return TwoEndedType(4, (a, b), True)
+    return TwoEndedType(3, (a, b), False)
 
 
 class MonodromyType(enum.Enum):
@@ -284,8 +281,17 @@ def monodromy_image_type(images: list[IntMatrix]) -> MonodromyType:
 
     Requires every non-identity image to be in the Reflection class, the
     group to be infinite (some product of two images is hyperbolic), the
-    translations r_1 r_i to commute pairwise, and -I not to be expressible
-    within word length 12 over the images.
+    translations r_1 r_i to commute pairwise, and -I not to be in the group.
+
+    The last test is exact.  The group is T x| <r_1> with T = <r_1 r_i>, and
+    only T has det-1 elements, so -I is in the group iff it is in T.  T is
+    abelian and holds a hyperbolic product r_i r_j, so it lies in the
+    centralizer +-<h0> of one, where |trace(+-h0^k)| grows with |k|.  The
+    translations are folded in one at a time by Euclid's algorithm on these
+    exponents: of a pair, the generator of larger |trace| is replaced by
+    a b or a b^-1, whichever has the smaller |trace|, until one is +-I.
+    These moves keep the group, and a cyclic group with a hyperbolic
+    generator does not hold -I, so -I is in T iff a reduction ends at -I.
     """
     distinct = []
     for m in images:
@@ -309,18 +315,14 @@ def monodromy_image_type(images: list[IntMatrix]) -> MonodromyType:
     trans = [distinct[0] * r for r in distinct[1:]]
     if any(x * y != y * x for i, x in enumerate(trans) for y in trans[i + 1:]):
         return MonodromyType.OTHER
-    # breadth-first sweep of words in the images, deduplicated
-    seen = {_ID, *distinct}
-    frontier = list(distinct)
-    for _ in range(MINUS_I_WORD_BOUND - 1):
-        nxt = []
-        for w in frontier:
-            for g in distinct:
-                wg = w * g
-                if wg == _MINUS_ID:
-                    return MonodromyType.OTHER
-                if wg not in seen:
-                    seen.add(wg)
-                    nxt.append(wg)
-        frontier = nxt
+    g = _ID  # the translations folded so far generate <g>
+    for b in trans:
+        a = g
+        while a not in (_ID, _MINUS_ID) and b not in (_ID, _MINUS_ID):
+            if abs(a.trace()) < abs(b.trace()):
+                a, b = b, a
+            a = min(a * b, a * b.inverse(), key=lambda m: abs(m.trace()))
+        if _MINUS_ID in (a, b):
+            return MonodromyType.OTHER
+        g = b if a == _ID else a
     return MonodromyType.DIHEDRAL_INFINITE

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from solgeom import catalog
+from solgeom.classifier import enumerate_invariants
 from solgeom.extensions import ExtensionGroup, QuotientKind
-from solgeom.intmat import IntMatrix
+from solgeom.intmat import IntMatrix, kernel_basis
 
 
 def test_registry_names():
@@ -34,6 +35,21 @@ def test_constructors_build_with_expected_shape():
     assert catalog.dinf_group().rank == 0
     assert catalog.g2_group().action["u"] == -IntMatrix.identity(2)
     assert catalog.b1_group().action["x"] == IntMatrix.diagonal((1, -1))
+
+
+def test_pillowcase_cocycle_matches_kernel_basis():
+    # the closed-form u-cocycle spans the kernel of A - I, as kernel_basis
+    # finds it: every invariant with entries <= 300 and its negated (q, r),
+    # and p = +-1 with q = 0
+    triples = [(i.p, i.q, i.r) for i in enumerate_invariants(300)]
+    triples += [(p, -q, -r) for p, q, r in triples]
+    triples += [(p, 0, r) for p in (1, -1) for r in range(-12, 13)]
+    assert len(triples) == 3466
+    for p, q, r in triples:
+        a = IntMatrix([[p, q], [-r, -p]])
+        (e, f), = kernel_basis(a - IntMatrix.identity(2))
+        u = catalog.pillowcase_group(p, q, r).square_cocycle["u"]
+        assert u == (e, f, 0), (p, q, r)
 
 
 def test_pillowcase_rejects_wrong_determinant():

@@ -32,6 +32,10 @@ def sample_groups():
         catalog.b1_sd_theta_group(),
         catalog.pillowcase_group(3, 2, 4),
         catalog.sigma_group(),
+        ExtensionGroup("C2", 2, generators=("g",),
+                       action={"g": [[0, 1], [1, 0]]}, cocycles={"g": (1, 1)},
+                       axis_signs={"g": -1}, name="C2-swap"),
+        ExtensionGroup("Trivial", 2, name="Z2"),
     ]
 
 
@@ -109,6 +113,49 @@ def test_dinf_rank_zero():
     assert g.is_torsion(u)
     wit = g.find_torsion()
     assert wit is not None and g.is_torsion(wit)
+
+
+def test_group_element_repr():
+    assert repr(GroupElement((1, -2), ("u", "v"))) == \
+        "GroupElement(t=(1, -2), q=('u', 'v'))"
+    assert repr(GroupElement((), 0)) == "GroupElement(t=(), q=0)"
+
+
+def test_is_torsion_matches_brute_force():
+    # a has finite order iff a^k = 1 for some 1 <= k <= 12, on random
+    # elements and on elements of the generator cosets, of every kind
+    zeroed = catalog.pillowcase_group(3, 2, 4)
+    zeroed = ExtensionGroup("Dinf", 3, generators=("u", "v"),
+                            action=dict(zeroed.action),
+                            cocycles={"u": (1, -1, 0)})
+    groups = sample_groups() + [zeroed] + [
+        ExtensionGroup("ZxC2", 1, generators=("s", "g"),
+                       action={"s": [[1]], "g": [[-1]]}, cocycles={"s": (2,)}),
+        ExtensionGroup("ZxC2", 0, generators=("s", "g"),
+                       action={"s": None, "g": None}),
+        ExtensionGroup("Klein", 1, generators=("x", "y"),
+                       action={"x": [[-1]], "y": [[1]]}),
+    ]
+    assert {g.kind for g in groups} == set(extensions.QuotientKind)
+    rng = random.Random(12)
+    seen = set()
+    for g in groups:
+        elements = [g.identity()] + [random_element(g, rng)
+                                     for _ in range(30)]
+        for x in g.generators:
+            for _ in range(10):
+                t = tuple(rng.randint(-2, 2) for _ in range(g.rank))
+                elements.append(g.element_mul(g.element(t),
+                                              g.generator_element(x)))
+        for a in elements:
+            want = any(g.element_pow(a, k) == g.identity()
+                       for k in range(1, 13))
+            assert g.is_torsion(a) is want, (g, a)
+            seen.add((g.kind.value, want and a != g.identity()))
+    # nontrivial torsion occurs exactly in the kinds with involutions
+    assert seen == {(k, b) for k in ("C2", "ZxC2", "Dinf")
+                    for b in (False, True)} \
+        | {("Zq", False), ("Klein", False), ("Trivial", False)}
 
 
 def test_torsion_search_agrees_with_direct_check():

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import inspect
+import itertools
+import math
 import pkgutil
 import random
 
@@ -249,13 +251,12 @@ def test_two_ended_case1():
     assert t.case == 1
     assert t.witnesses == (HYP,)
     assert not t.has_minus_i
-    assert t.minus_i_certain
 
 
 def test_two_ended_case2():
     t = two_ended_type([HYP, MINUS_I2])
     assert t.case == 2
-    assert t.has_minus_i and t.minus_i_certain
+    assert t.has_minus_i
 
 
 def test_two_ended_case3():
@@ -266,8 +267,7 @@ def test_two_ended_case3():
     a2, b2 = t.witnesses
     assert a2 * b2 == IntMatrix([[17, 24], [12, 17]])
     assert element_order(a2 * b2) is None
-    assert not t.has_minus_i
-    assert t.minus_i_certain  # D-infinity has trivial centre, so no -I
+    assert not t.has_minus_i  # D-infinity has trivial centre, so no -I
     # swapping generators: still case 3, product inverts
     s = two_ended_type([b, REFL])
     assert s.case == 3
@@ -286,7 +286,7 @@ def test_two_ended_case4():
     b = IntMatrix([[17, 24], [-12, -17]])
     t = two_ended_type([REFL, b, MINUS_I2])
     assert t.case == 4
-    assert t.has_minus_i and t.minus_i_certain
+    assert t.has_minus_i
 
 
 def test_two_ended_case5():
@@ -296,7 +296,7 @@ def test_two_ended_case5():
         t = two_ended_type(gens)
         assert t.case == 5
         assert t.witnesses == (a, b)  # order-4 witness first
-        assert t.has_minus_i and t.minus_i_certain
+        assert t.has_minus_i
 
 
 def test_two_ended_case6():
@@ -305,7 +305,7 @@ def test_two_ended_case6():
     t = two_ended_type([a, b])
     assert t.case == 6
     assert a * a == MINUS_I2 and b * b == MINUS_I2
-    assert t.has_minus_i and t.minus_i_certain
+    assert t.has_minus_i
 
 
 def test_two_ended_rejections():
@@ -370,3 +370,31 @@ def test_monodromy_rejects_free_group():
     assert r1 * r3 == IntMatrix([[1, 2], [0, 1]])
     assert (r1 * r2) * (r1 * r3) != (r1 * r3) * (r1 * r2)
     assert monodromy_image_type([r1, r2, r3]) is MonodromyType.OTHER
+
+
+def test_monodromy_finds_long_minus_i_word():
+    # r1, r1 h^7, -r1 h^6: all Reflection class with commuting translations
+    # h^7 and -h^6, and (r3 r2)^7 r2 r1 = -I, a word of 16 letters
+    h = IntMatrix([[3, 2], [4, 3]])
+    for a, b in ((7, 6), (9, 8)):
+        r2, r3 = REFL * h ** a, -(REFL * h ** b)
+        assert all(finite_order_class(r) is FiniteOrderClass.REFLECTION
+                   for r in (r2, r3))
+        assert (r3 * r2) ** a * r2 * REFL == MINUS_I2
+        assert monodromy_image_type([REFL, r2, r3]) is MonodromyType.OTHER
+
+
+def test_monodromy_minus_i_matches_exponent_arithmetic():
+    # the translations e_a h^a and e_b h^b generate a group holding -I iff
+    # a m + b n = 0 has a solution with e_a^m e_b^n = -1, that is iff
+    # e_a^(b/g) e_b^(a/g) = -1 for g = gcd(a, b)
+    h = IntMatrix([[3, 2], [4, 3]])
+    for a, b in itertools.permutations(range(1, 9), 2):
+        for ea, eb in itertools.product((1, -1), repeat=2):
+            g = math.gcd(a, b)
+            has_minus_i = ea ** (b // g) * eb ** (a // g) == -1
+            images = [REFL] + [m if e == 1 else -m for e, m in
+                               ((ea, REFL * h ** a), (eb, REFL * h ** b))]
+            want = (MonodromyType.OTHER if has_minus_i
+                    else MonodromyType.DIHEDRAL_INFINITE)
+            assert monodromy_image_type(images) is want, (a, b, ea, eb)
