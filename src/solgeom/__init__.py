@@ -47,7 +47,6 @@ from .gl2z import (
 from .intmat import (
     IntMatrix,
     IntVector,
-    SmithDecomposition,
     cokernel_invariants,
     in_image,
     kernel_basis,
@@ -55,7 +54,6 @@ from .intmat import (
     parse_vector,
     primitive_vector,
     saturation,
-    smith_normal_form,
     solve_integer,
 )
 from .catalog import default_catalog, resolve_group
@@ -73,7 +71,6 @@ __all__ = [
     "NotTwoEndedError",
     "PillowcaseInvariant",
     "QuotientKind",
-    "SmithDecomposition",
     "TwoEndedType",
     "VerificationReport",
     "cokernel_invariants",
@@ -99,7 +96,6 @@ __all__ = [
     "resolve_group",
     "run_suite",
     "saturation",
-    "smith_normal_form",
     "solve_integer",
     "two_ended_type",
     "validate_invariant",

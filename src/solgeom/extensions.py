@@ -25,6 +25,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .intmat import (
+    MAX_DIM,
     IntMatrix,
     IntVector,
     is_zero_vector,
@@ -345,6 +346,9 @@ class ExtensionGroup:
             raise ValueError(f"rank must be an integer, not {rank!r}")
         if rank < 0:
             raise ValueError("negative rank")
+        if rank > MAX_DIM:
+            raise ValueError(f"dimension {rank} outside supported range "
+                             f"1..{MAX_DIM}")
         self.rank = rank
         if lattice_names is None:
             lattice_names = tuple(f"e{i + 1}" for i in range(rank))
@@ -527,11 +531,9 @@ class ExtensionGroup:
         t, q = zero, self._k.identity
         for name, exp in reversed(self._k.letters(self, a.q)):
             t, q = self._append_one(t, q, name, -exp)
-        partial = GroupElement(t, q)
-        # a * partial is a pure translation tau(r), since collection gives
-        # the unique normal form of q(a) q(a)^-1 = 1; peel it off the right
-        r = self.element_mul(a, partial)
-        return self.element_mul(partial, self.element(vec_neg(r.t)))
+        # a^-1 = lift(a.q)^-1 tau(-a.t), and the letters of a.q reversed and
+        # inverted have just collected to lift(a.q)^-1 = (t, q)
+        return GroupElement(vec_sub(t, self._apply_q(q, a.t)), q)
 
     def element_pow(self, a: GroupElement, k: int) -> GroupElement:
         if k < 0:

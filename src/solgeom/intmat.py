@@ -2,10 +2,10 @@
 
 Everything here is done with Python's arbitrary-precision ints; no floats
 anywhere.  IntMatrix is square (dimension 1..8, working sizes 2 and 3) and
-immutable.  Smith normal form with its two unimodular transforms P and Q
-gives solving and cokernels; kernels and saturations come from one echelon
-reduction with a single transform.  All of these take an IntMatrix or any
-rectangular list of integer rows.
+immutable.  There are two reductions: Smith normal form with its two
+unimodular transforms P and Q gives solving and cokernels, and the Hermite
+normal form gives spans, kernels and saturations.  All of these take an
+IntMatrix or any rectangular list of integer rows.
 
 Vectors are plain tuples of ints.
 """
@@ -13,7 +13,6 @@ Vectors are plain tuples of ints.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
@@ -349,8 +348,8 @@ def _adjugate_rows(rows: list[list[int]]) -> list[list[int]]:
 # relator matrices use it directly.  Row operations are mirrored into P and
 # column operations into Q, so P*M*Q = S holds exactly.  Q is kept
 # transposed, so a column operation is a row operation on it.  Kernels and
-# saturations need no Smith form; they come from one echelon reduction
-# with a single transform (_kernel_rows).
+# saturations need no Smith form; they are read off the Hermite form
+# (lattice_basis).
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a,b) >= 0 and x*a + y*b = g."""
@@ -470,39 +469,6 @@ def smith_rows(rows) -> SmithRows:
     return SmithRows(s, p, qt)
 
 
-def _kernel_rows(rows, nc: int) -> list[list[int]]:
-    """A basis of {x in Z^nc : M x = 0} for M given as rows of length nc.
-
-    One echelon reduction of M^T with its transform U: row operations bring
-    U M^T to echelon form, and the rows of U beside the zero rows of U M^T
-    are a basis of the kernel, U being unimodular.
-    """
-    mt = [list(c) for c in zip(*rows)]
-    u = _identity_rows(nc)
-    piv = 0
-    for r in range(len(rows)):
-        if piv == nc:
-            break
-        for i in range(piv + 1, nc):
-            a, b = mt[piv][r], mt[i][r]
-            if b == 0:
-                continue
-            if a == 0:
-                mt[piv], mt[i] = mt[i], mt[piv]
-                u[piv], u[i] = u[i], u[piv]
-            elif b % a == 0:
-                k = b // a
-                mt[i] = [y - k * x for x, y in zip(mt[piv], mt[i])]
-                u[i] = [y - k * x for x, y in zip(u[piv], u[i])]
-            else:
-                g, x, y = _xgcd(a, b)
-                mt[piv], mt[i] = _mix(mt[piv], mt[i], x, y, -b // g, a // g)
-                u[piv], u[i] = _mix(u[piv], u[i], x, y, -b // g, a // g)
-        if mt[piv][r] != 0:
-            piv += 1
-    return u[piv:]
-
-
 def lattice_basis(vectors: list[IntVector]) -> list[IntVector]:
     """Canonical (Hermite form) basis of the integer span of the given vectors.
 
@@ -514,32 +480,30 @@ def lattice_basis(vectors: list[IntVector]) -> list[IntVector]:
     if not vectors:
         return []
     n = len(vectors[0])
-    basis: list[list[int]] = []  # kept sorted by pivot column
-    pivots: list[int] = []
+    rows: dict[int, list[int]] = {}  # pivot column -> the row with it
     for v in vectors:
-        v = v[:]
         j = 0
         while True:
             while j < n and v[j] == 0:
                 j += 1
             if j == n:
                 break
-            if j in pivots:
-                k = pivots.index(j)
-                b = basis[k]
-                g, x, y = _xgcd(b[j], v[j])
-                bj, vj = b[j], v[j]
-                basis[k] = [x * p + y * q for p, q in zip(b, v)]
-                v = [-(vj // g) * p + (bj // g) * q for p, q in zip(b, v)]
-            else:
-                pos = sum(1 for p in pivots if p < j)
-                basis.insert(pos, v)
-                pivots.insert(pos, j)
+            b = rows.get(j)
+            if b is None:
+                rows[j] = v
                 break
+            bj, vj = b[j], v[j]
+            if vj % bj == 0:
+                c = vj // bj
+                v = [q - c * p for p, q in zip(b, v)]
+            else:
+                g, x, y = _xgcd(bj, vj)
+                rows[j] = [x * p + y * q for p, q in zip(b, v)]
+                v = [(bj // g) * q - (vj // g) * p for p, q in zip(b, v)]
     # normalize: positive pivots, entries above a pivot reduced mod the pivot
-    for i, j in enumerate(pivots):
-        if basis[i][j] < 0:
-            basis[i] = [-x for x in basis[i]]
+    pivots = sorted(rows)
+    basis = [rows[j] if rows[j][j] > 0 else [-x for x in rows[j]]
+             for j in pivots]
     for i in range(1, len(basis)):
         j = pivots[i]
         d = basis[i][j]
@@ -548,40 +512,6 @@ def lattice_basis(vectors: list[IntVector]) -> list[IntVector]:
             if q:
                 basis[k] = [a - q * b for a, b in zip(basis[k], basis[i])]
     return [tuple(row) for row in basis]
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """P * M * Q = S with P, Q unimodular and S in Smith form."""
-
-    s: IntMatrix
-    p: IntMatrix
-    q: IntMatrix
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.s.rows[i][i] for i in range(self.s.n))
-
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
-
-
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms.
-
-    Postconditions (RuntimeError if broken): P*M*Q = S, diagonal entries
-    nonnegative with d1 | d2 | ... and zeros trailing, |det P| = |det Q| = 1.
-    """
-    w = smith_rows(m.rows)
-    s = IntMatrix(w.s)
-    p = IntMatrix(w.p)
-    q = IntMatrix(w.qt).transpose()
-    diag = [s.rows[i][i] for i in range(m.n)]
-    if (p * m * q != s or not (p.is_unimodular() and q.is_unimodular())
-            or any(d < 0 for d in diag)
-            or any(diag[i + 1] % diag[i] if diag[i] else diag[i + 1]
-                   for i in range(m.n - 1))):
-        raise RuntimeError(f"Smith form of {m!r} breaks its postconditions")
-    return SmithDecomposition(s=s, p=p, q=q)
 
 
 def _rows(m):
@@ -625,10 +555,16 @@ def kernel_basis(m) -> list[IntVector]:
     first nonzero coordinate is positive.
     """
     rows = _rows(m)
-    nc = len(rows[0]) if rows else 0
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
     if nc == 0:
         return []
-    return lattice_basis(_kernel_rows(rows, nc))
+    # The graph {(M x, x)} of M meets 0 x Z^nc in {(0, x) : M x = 0}.  In
+    # the Hermite form of the graph the rows with M-part zero span that
+    # meet and are in Hermite form themselves, so by uniqueness they are
+    # the Hermite form of the kernel.
+    graph = [list(col) + e for col, e in zip(zip(*rows), _identity_rows(nc))]
+    return [row[nr:] for row in lattice_basis(graph) if not any(row[:nr])]
 
 
 def saturation(vectors: list[IntVector]) -> list[IntVector]:
@@ -646,10 +582,10 @@ def saturation(vectors: list[IntVector]) -> list[IntVector]:
             raise ValueError("mixed dimensions")
     # the kernel of the kernel: x is in the saturation iff x is orthogonal
     # to every y that is orthogonal to all the vectors
-    perp = _kernel_rows(vectors, n)
+    perp = kernel_basis(vectors)
     if not perp:
         return [tuple(r) for r in _identity_rows(n)]
-    return lattice_basis(_kernel_rows(perp, n))
+    return kernel_basis(perp)
 
 
 def cokernel_invariants(m) -> tuple[int, tuple[int, ...]]:

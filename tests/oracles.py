@@ -4,9 +4,11 @@ Everything in here deliberately avoids the library's own algorithms: searches
 are exhaustive scans over boxes, invariant factors come from gcds of minors,
 and matrix arithmetic is done on raw tuples (or int64 numpy arrays, which are
 exact at these sizes).  If an oracle and the library disagree, the test fails;
-the oracle is never built on top of the code path it checks.  The one oracle
-that uses the library, from_extension_by_kernels, does so through routines
-the checked path never calls.
+the oracle is never built on top of the code path it checks.  Two oracles
+use the library.  from_extension_by_kernels does so through routines the
+checked path never calls.  The reference kernel and saturation keep the
+echelon reduction that intmat used before it read kernels off the Hermite
+form, and share only that final Hermite form with it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,11 @@ from solgeom.extensions import ExtensionGroup
 from solgeom.intmat import (
     IntMatrix,
     IntVector,
+    _identity_rows,
+    _mix,
+    _xgcd,
     kernel_basis,
+    lattice_basis,
     saturation,
     smith_rows,
 )
@@ -413,7 +419,7 @@ def w1_lifts_to_z4(rows, chars):
 #
 # The one oracle here built on the library: classifier.from_extension as it
 # was before its closed-form rewrite, kept as it was.  It reaches the
-# invariant through intmat's echelon kernels, saturation and a Smith-form
+# invariant through intmat's Hermite-form kernels, saturation and a Smith-form
 # restriction, none of which the closed form calls, so the two agree only
 # if the closed form is right.
 
@@ -494,3 +500,62 @@ def _restrict(mats, basis: list[IntVector]) -> list[IntMatrix]:
                               for x, y in zip(w.qt[0], w.qt[1])))
         out.append(IntMatrix.from_columns(cols))
     return out
+
+
+# ---------------------------------------------------------------------------
+# kernels and saturations by one echelon reduction with a single transform
+#
+# The path intmat's kernel_basis and saturation took before they read the
+# kernel off the Hermite form of the graph of M, kept as it was.  Both paths
+# end in the Hermite form of the same lattice, so they must agree exactly,
+# vector for vector.
+
+def _kernel_rows(rows, nc: int) -> list[list[int]]:
+    """A basis of {x in Z^nc : M x = 0} for M given as rows of length nc.
+
+    One echelon reduction of M^T with its transform U: row operations bring
+    U M^T to echelon form, and the rows of U beside the zero rows of U M^T
+    are a basis of the kernel, U being unimodular.
+    """
+    mt = [list(c) for c in zip(*rows)]
+    u = _identity_rows(nc)
+    piv = 0
+    for r in range(len(rows)):
+        if piv == nc:
+            break
+        for i in range(piv + 1, nc):
+            a, b = mt[piv][r], mt[i][r]
+            if b == 0:
+                continue
+            if a == 0:
+                mt[piv], mt[i] = mt[i], mt[piv]
+                u[piv], u[i] = u[i], u[piv]
+            elif b % a == 0:
+                k = b // a
+                mt[i] = [y - k * x for x, y in zip(mt[piv], mt[i])]
+                u[i] = [y - k * x for x, y in zip(u[piv], u[i])]
+            else:
+                g, x, y = _xgcd(a, b)
+                mt[piv], mt[i] = _mix(mt[piv], mt[i], x, y, -b // g, a // g)
+                u[piv], u[i] = _mix(u[piv], u[i], x, y, -b // g, a // g)
+        if mt[piv][r] != 0:
+            piv += 1
+    return u[piv:]
+
+
+def kernel_basis_by_echelon(rows) -> list[IntVector]:
+    nc = len(rows[0]) if rows else 0
+    if nc == 0:
+        return []
+    return lattice_basis(_kernel_rows(rows, nc))
+
+
+def saturation_by_echelon(vectors) -> list[IntVector]:
+    vectors = [tuple(v) for v in vectors]
+    if not vectors:
+        return []
+    n = len(vectors[0])
+    perp = _kernel_rows(vectors, n)
+    if not perp:
+        return [tuple(r) for r in _identity_rows(n)]
+    return lattice_basis(_kernel_rows(perp, n))

@@ -271,6 +271,8 @@ def test_torsion_rejects_bound_below_one(capsys, bound):
      "array of names"),
     ("h1", {"kind": "Zq", "rank": 1, "generators": ["s"],
             "action": {"s": [[-1]]}, "name": [1]}, "'name' must be a string"),
+    ("h1", {"kind": "Trivial", "rank": 10 ** 9},
+     "dimension 1000000000 outside supported range 1..8"),
 ])
 def test_malformed_description_is_one_error_document(capsys, tmp_path,
                                                      command, payload,

@@ -531,6 +531,9 @@ def test_validation_rejections():
         ExtensionGroup("C2", 2, generators=("u",),
                        action={"u": [[1, 0], [0, -1]]},
                        cocycles={"u": (0, 1)})
+    # a rank past MAX_DIM is refused before anything of that size is built
+    with pytest.raises(ValueError, match="dimension 1000000000 outside"):
+        from_description({"kind": "Trivial", "rank": 10 ** 9})
 
 
 def _columns_by_counting(g):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
+from solgeom import gl2z
 from solgeom.intmat import (
     MAX_DIM,
     IntMatrix,
@@ -21,7 +22,6 @@ from solgeom.intmat import (
     parse_vector,
     primitive_vector,
     saturation,
-    smith_normal_form,
     smith_rows,
     solve_integer,
 )
@@ -217,22 +217,42 @@ def test_identity_dimension_guard():
 # ---------------------------------------------------------------------------
 # Smith normal form
 
+def smith_diagonal(rows):
+    """The Smith diagonal of M, given as rows, after checking what
+    smith_rows promises: P*M*Q = S with P and Q unimodular, S diagonal and
+    nonnegative, each diagonal entry dividing the next."""
+    rows = [list(r) for r in rows]
+    nr, nc = len(rows), len(rows[0])
+    w = smith_rows(rows)
+    q = [list(col) for col in zip(*w.qt)]
+    assert oracles.mat_mul(oracles.mat_mul(w.p, rows), q) == w.s
+    assert oracles.det_exact(w.p) in (1, -1)
+    assert oracles.det_exact(q) in (1, -1)
+    assert all(w.s[i][j] == 0 for i in range(nr) for j in range(nc)
+               if i != j)
+    diag = [w.s[i][i] for i in range(min(nr, nc))]
+    for i, d in enumerate(diag):
+        assert d >= 0
+        if i + 1 < len(diag):
+            nxt = diag[i + 1]
+            assert nxt == 0 if d == 0 else nxt % d == 0
+    return diag
+
+
 def test_snf_diag_2_2():
-    d = smith_normal_form(IntMatrix([[2, 2], [4, 2]]))
-    assert d.diagonal() == (2, 2)
+    assert smith_diagonal([[2, 2], [4, 2]]) == [2, 2]
 
 
 def test_snf_of_i_minus_psi():
     m = I2 - PSI
-    d = smith_normal_form(m)
-    assert d.diagonal() == (2, 2)
+    assert smith_diagonal(m.rows) == [2, 2]
     # |det(I - Psi)| = 2(a - 1) at a = 3
     assert abs(m.det()) == 4
 
 
 def test_snf_identity_and_zero():
-    assert smith_normal_form(I2).diagonal() == (1, 1)
-    assert smith_normal_form(IntMatrix.zero(3)).diagonal() == (0, 0, 0)
+    assert smith_diagonal(I2.rows) == [1, 1]
+    assert smith_diagonal(IntMatrix.zero(3).rows) == [0, 0, 0]
 
 
 def test_snf_properties_random():
@@ -240,17 +260,7 @@ def test_snf_properties_random():
     for _ in range(200):
         n = rng.choice([1, 2, 2, 3, 3])
         m = random_matrix(rng, n, 20)
-        d = smith_normal_form(m)
-        assert d.p * m * d.q == d.s
-        assert d.p.det() in (1, -1)
-        assert d.q.det() in (1, -1)
-        diag = d.diagonal()
-        for i in range(n - 1):
-            assert diag[i] >= 0
-            if diag[i] == 0:
-                assert diag[i + 1] == 0
-            elif diag[i + 1] != 0:
-                assert diag[i + 1] % diag[i] == 0
+        diag = smith_diagonal(m.rows)
         prod = 1
         for x in diag:
             prod *= x
@@ -452,21 +462,7 @@ def random_rows(rng):
 def test_smith_rows_properties_rectangular():
     rng = random.Random(2027)
     for _ in range(300):
-        m = random_rows(rng)
-        nr, nc = len(m), len(m[0])
-        w = smith_rows(m)
-        q = [list(col) for col in zip(*w.qt)]
-        assert oracles.mat_mul(oracles.mat_mul(w.p, m), q) == w.s
-        assert oracles.det_exact(w.p) in (1, -1)
-        assert oracles.det_exact(q) in (1, -1)
-        diag = [w.s[i][i] for i in range(min(nr, nc))]
-        assert all(w.s[i][j] == 0 for i in range(nr) for j in range(nc)
-                   if i != j)
-        for i, d in enumerate(diag):
-            assert d >= 0
-            if i + 1 < len(diag):
-                nxt = diag[i + 1]
-                assert nxt == 0 if d == 0 else nxt % d == 0
+        smith_diagonal(random_rows(rng))
 
 
 def test_kernel_and_saturation_against_minors_rectangular():
@@ -495,3 +491,26 @@ def test_kernel_and_saturation_against_minors_rectangular():
         for row in m:
             assert oracles.in_span(sat, row)
         assert lattice_basis(sat) == sat
+
+
+def test_kernel_and_saturation_match_echelon_reference():
+    # the Hermite form of a lattice is unique, so reading the kernel off the
+    # Hermite form of the graph of M must give the echelon path's vectors
+    # exactly: same order, same signs
+    rng = random.Random(2031)
+    for _ in range(1000):
+        m = random_rows(rng)
+        assert kernel_basis(m) == oracles.kernel_basis_by_echelon(m), m
+        vecs = [tuple(row) for row in m]
+        assert saturation(vecs) == oracles.saturation_by_echelon(vecs), m
+    # the 4x4 systems C m = n C that gl2z's box scan walks, whose kernel
+    # order fixes the order of the scan
+    mats = list(gl2z._REPRESENTATIVES.values()) + [PSI]
+    for m in mats:
+        (ma, mb), (mc, md) = m.rows
+        for n in mats:
+            (na, nb), (nc, nd) = n.rows
+            rows = [[ma - na, mc, -nb, 0], [mb, md - na, 0, -nb],
+                    [-nc, 0, ma - nd, mc], [0, -nc, mb, md - nd]]
+            assert kernel_basis(rows) == oracles.kernel_basis_by_echelon(rows)
+            assert saturation(rows) == oracles.saturation_by_echelon(rows)
