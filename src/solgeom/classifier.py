@@ -111,20 +111,20 @@ def enumerate_invariants(max_entry: int) -> list[PillowcaseInvariant]:
 
 
 def group_from_invariant(inv: PillowcaseInvariant) -> ExtensionGroup:
-    """The extension group attached to an invariant, after the exact
-    torsion gate."""
-    group = catalog.pillowcase_group(inv.p, inv.q, inv.r)
-    witness = group.find_torsion()
-    if witness is not None:
-        raise InvariantError(f"invariant produced a torsion element: "
-                             f"witness (t={witness.t}, word={witness.q})")
-    return group
+    """The extension group attached to an invariant; it is torsion-free.
+
+    A torsion element exists exactly when -s_g is in Im(I + A_g) for g = u
+    or v (ExtensionGroup.find_torsion).  As p is odd and q, r are even,
+    I + A_u is 0 mod 2, while s_u is primitive, so not 0 mod 2; and
+    Im(I + A_v) = 2Z x 0 x 0 misses -s_v = (-1, 0, 0).
+    """
+    return catalog.pillowcase_group(inv.p, inv.q, inv.r)
 
 
 def presentation_from_invariant(
         inv: PillowcaseInvariant) -> tuple[FpPresentation, ExtensionGroup]:
     """The explicit presentation and extension group attached to an
-    invariant; runs the torsion gate before returning."""
+    invariant."""
     group = group_from_invariant(inv)
     return group.presentation(), group
 

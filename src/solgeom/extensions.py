@@ -37,10 +37,10 @@ from .intmat import (
     vec_sub,
 )
 
-# L(n) for n = 1..8: the lcm of the finite orders in GL(n,Z), which is the
+# L(n) for n = 0..8: the lcm of the finite orders in GL(n,Z), which is the
 # product over primes p of the largest p^k with phi(p^k) <= n (the
 # crystallographic restriction)
-_ORDER_EXPONENT = (2, 12, 12, 120, 120, 2520, 2520, 5040)
+_ORDER_EXPONENT = (1, 2, 12, 12, 120, 120, 2520, 2520, 5040)
 
 
 class QuotientKind(enum.Enum):
@@ -108,7 +108,7 @@ class _C2(_Kind):
 
     def central(self, G):
         g = G.generators[0]
-        return [1] if G.rank == 0 or G.action[g].is_identity() else []
+        return [1] if G.action[g].is_identity() else []
 
 
 class _Zq(_Kind):
@@ -167,7 +167,7 @@ class _ZxC2(_Kind):
         s, g = G.generators
         m = G._finite_action_order(s)
         return ([] if m is None else [(m, 0)]) + (
-            [(0, 1)] if G.rank == 0 or G.action[g].is_identity() else [])
+            [(0, 1)] if G.action[g].is_identity() else [])
 
     def check_structure(self, G):
         s, g = G.generators
@@ -311,21 +311,22 @@ class _H1Data(NamedTuple):
     diag: list[int]
 
 
-def _gf2_consistent(eqs: list[int], n: int) -> bool:
-    """Whether a linear system over GF(2) has a solution.  Each equation is
-    an int: bits 0..n-1 hold its coefficients, bit n its right-hand side.
-    Kept rows are reduced by the ones before them, so each owns its lowest
-    bit as pivot; an equation reduced to bit n alone reads 0 = 1."""
+def _gf2_solve(eqs: list[int], n: int) -> int | None:
+    """A solution of a linear system over GF(2), or None if it has none.
+    Each equation is an int: bits 0..n-1 hold its coefficients, bit n its
+    right-hand side; so is the solution, with bit j for unknown j and every
+    free unknown 0.  Each kept row owns its lowest bit as pivot, which no
+    other kept row holds; an equation reduced to bit n alone reads 0 = 1."""
     kept = []
     for e in eqs:
         for r in kept:
             if e & r & -r:
                 e ^= r
         if e == 1 << n:
-            return False
+            return None
         if e:
-            kept.append(e)
-    return True
+            kept = [r ^ e if r & e & -e else r for r in kept] + [e]
+    return sum((r >> n & 1) << (r & -r).bit_length() - 1 for r in kept)
 
 
 class ExtensionGroup:
@@ -377,9 +378,10 @@ class ExtensionGroup:
         self.action = {}
         for g, m in action.items():
             if rank == 0:
+                # descriptions hold null for the 0x0 matrix
                 if m is not None:
                     raise ValueError("rank-0 group takes no action matrices")
-                continue
+                m = IntMatrix.identity(0)
             if not isinstance(m, IntMatrix):
                 m = IntMatrix(m)
             if m.n != rank:
@@ -429,8 +431,6 @@ class ExtensionGroup:
     # -- structural checks --------------------------------------------------
 
     def _validate_structure(self):
-        if self.rank == 0:
-            return
         ident = IntMatrix.identity(self.rank)
         for g, s in self.square_cocycle.items():
             m = self.action[g]
@@ -491,10 +491,8 @@ class ExtensionGroup:
                 letters.append((name, exp))
         return render_word(tuple(letters))
 
-    def _word_matrix(self, q) -> IntMatrix | None:
-        """Action of the quotient word on the lattice; None at rank 0."""
-        if self.rank == 0:
-            return None
+    def _word_matrix(self, q) -> IntMatrix:
+        """Action of the quotient word on the lattice."""
         m = IntMatrix.identity(self.rank)
         for name, exp in self._k.letters(self, q):
             a = self.action[name]
@@ -502,8 +500,6 @@ class ExtensionGroup:
         return m
 
     def _apply_q(self, q, vec: IntVector) -> IntVector:
-        if self.rank == 0:
-            return ()
         return self._word_matrix(q).apply(vec)
 
     # -- collection ---------------------------------------------------------
@@ -609,8 +605,6 @@ class ExtensionGroup:
     @cached_property
     def _torsion_witness(self) -> GroupElement | None:
         """find_torsion's answer, decided once per group."""
-        if self.rank == 0:
-            return self.element((), (self.generators[0],))
         n = self.rank
         ident = IntMatrix.identity(n)
         for g in self.generators:
@@ -620,7 +614,7 @@ class ExtensionGroup:
                    | (c & 1) << n
                    for i, (row, c) in enumerate(zip(self.action[g].rows,
                                                     self.square_cocycle[g]))]
-            if not _gf2_consistent(eqs, n):
+            if _gf2_solve(eqs, n) is None:
                 continue
             sol = solve_integer(self.action[g] + ident,
                                 vec_neg(self.square_cocycle[g]))
@@ -651,7 +645,7 @@ class ExtensionGroup:
                 rels.append(((a, 1), (b, 1), (a, -1), (b, -1)))
         for g in self.generators:
             for i, e in enumerate(self.lattice_names):
-                image = self.action[g].column(i) if self.rank else ()
+                image = self.action[g].column(i)
                 rels.append(((g, 1), (e, 1), (g, -1))
                             + self._inverse_word(self._vector_word(image)))
         for g, s in self.square_cocycle.items():
@@ -728,7 +722,7 @@ class ExtensionGroup:
             raise ValueError("group carries no axis signs; orientation "
                              "character is undefined")
         a = self.element(a.t, a.q)
-        sign = 1 if self.rank == 0 else self._word_matrix(a.q).det()
+        sign = self._word_matrix(a.q).det()
         for name, _ in self._k.letters(self, a.q):
             sign *= self.axis_signs[name]
         return 0 if sign == 1 else 1
@@ -736,15 +730,13 @@ class ExtensionGroup:
     def generator_characters(self) -> dict[str, int]:
         """Orientation character of every lattice and quotient generator;
         a quotient generator's word is its one letter g, so its sign is
-        det(A_g) times its axis sign (the axis sign alone at rank 0)."""
+        det(A_g) times its axis sign."""
         out = {e: 0 for e in self.lattice_names}
         for g in self.generators:
             if self.axis_signs is None:
                 raise ValueError("group carries no axis signs; orientation "
                                  "character is undefined")
-            sign = self.axis_signs[g]
-            if self.rank:
-                sign *= self.action[g].det()
+            sign = self.axis_signs[g] * self.action[g].det()
             out[g] = 0 if sign == 1 else 1
         return out
 
@@ -765,18 +757,10 @@ class ExtensionGroup:
         h1 = self._h1_data
         p, nr = h1.p, len(h1.gens)
         # solve P^T c = w over GF(2): equation i is bit j for P[j][i] and
-        # bit nr for w_i; Gauss-Jordan leaves c_j in bit nr of row j
-        eqs = [sum((p[j][i] & 1) << j for j in range(nr)) | chars[g] << nr
-               for i, g in enumerate(h1.gens)]
-        for j in range(nr):
-            bit = 1 << j
-            k = next(k for k in range(j, nr) if eqs[k] & bit)
-            eqs[j], eqs[k] = eqs[k], eqs[j]
-            for k in range(nr):
-                if k != j and eqs[k] & bit:
-                    eqs[k] ^= eqs[j]
-        return not any(eqs[j] >> nr & 1
-                       for j in range(h1.rank) if h1.diag[j] % 4)
+        # bit nr for w_i
+        c = _gf2_solve([sum((p[j][i] & 1) << j for j in range(nr))
+                        | chars[g] << nr for i, g in enumerate(h1.gens)], nr)
+        return not any(c >> j & 1 for j in range(h1.rank) if h1.diag[j] % 4)
 
     # -- center and friends -------------------------------------------------
 
@@ -803,8 +787,6 @@ class ExtensionGroup:
         return CenterDescription(rank=rank, generators=tuple(gens))
 
     def _central_lattice_basis(self):
-        if self.rank == 0:
-            return []
         if not self.generators:
             return [e.t for e in self.lattice_basis_elements()]
         ident = IntMatrix.identity(self.rank)
@@ -826,10 +808,8 @@ class ExtensionGroup:
         Exact: every finite order in GL(n,Z) divides L(n), so A has finite
         order iff A^L(n) = I, one power by repeated squaring.
         """
-        if self.rank == 0:
-            return 2 if even_only else 1
         a = self.action[g]
-        if not (a ** _ORDER_EXPONENT[self.rank - 1]).is_identity():
+        if not (a ** _ORDER_EXPONENT[self.rank]).is_identity():
             return None
         k, acc = 1, a
         while not acc.is_identity():
@@ -840,11 +820,6 @@ class ExtensionGroup:
         """A central element (t, q) if the commutation equations admit an
         integer solution t, else None."""
         base = self.element((0,) * self.rank, q)
-        if self.rank == 0:
-            if all(self.conjugate(h, base) == base
-                   for h in self.generator_elements()):
-                return base
-            return None
         ident = IntMatrix.identity(self.rank)
         stacked = []
         rhs = []
@@ -857,7 +832,7 @@ class ExtensionGroup:
             diff = self.action[g] - ident
             stacked.extend(list(r) for r in diff.rows)
             rhs.extend(vec_neg(conj.t))
-        sol = solve_integer(stacked, rhs) if stacked else (0,) * self.rank
+        sol = solve_integer(stacked, rhs)
         if sol is None:
             return None
         return self.element(sol, base.q)
@@ -866,8 +841,6 @@ class ExtensionGroup:
 
     def i_lattice(self) -> list[IntVector]:
         """Basis of the lattice vectors whose images in H1 are torsion."""
-        if self.rank == 0:
-            return []
         h1 = self._h1_data
         gens, p, rank = h1.gens, h1.p, h1.rank
         nr = len(gens)

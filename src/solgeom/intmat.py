@@ -1,9 +1,11 @@
 """Exact integer linear algebra on small matrices.
 
 Everything here is done with Python's arbitrary-precision ints; no floats
-anywhere.  IntMatrix is square (dimension 1..8, working sizes 2 and 3) and
-immutable.  There are two reductions: Smith normal form with its two
-unimodular transforms P and Q gives solving and cokernels, and the Hermite
+anywhere.  IntMatrix is square (dimension 0..8, working sizes 2 and 3) and
+immutable; the constructor takes sizes 1..8, and identity(0) is the 0x0
+matrix, the action on a rank-0 lattice.  There are two reductions: Smith
+normal form with its two unimodular transforms P and Q gives solving,
+cokernels and the inverses of sizes other than 2 and 3, and the Hermite
 normal form gives spans, kernels and saturations.  All of these take an
 IntMatrix or any rectangular list of integer rows.
 
@@ -243,13 +245,23 @@ class IntMatrix:
         d = self.det()
         if d not in (1, -1):
             raise ValueError(f"matrix with det {d} has no integer inverse")
-        # 1/d = d, so the inverse is d times the adjugate
+        # 1/d = d, so at sizes 2 and 3 the inverse is d times the adjugate
         if self.n == 2:
             (a, b), (c, e) = self.rows
             return _trusted(((d * e, -d * b), (-d * c, d * a)), 2)
-        adj = _adjugate_rows([list(r) for r in self.rows])
-        return _trusted(tuple(tuple(d * x for x in row) for row in adj),
-                        self.n)
+        if self.n == 3:
+            (a, b, c), (e, f, g), (h, i, j) = self.rows
+            return _trusted(((d * (f * j - g * i), d * (c * i - b * j),
+                              d * (b * g - c * f)),
+                             (d * (g * h - e * j), d * (a * j - c * h),
+                              d * (c * e - a * g)),
+                             (d * (e * i - f * h), d * (b * h - a * i),
+                              d * (a * f - b * e))), 3)
+        # otherwise P M Q = S = I, so M^-1 = Q P
+        w = smith_rows(self.rows)
+        return _trusted(tuple(tuple(sum(x * y for x, y in zip(qrow, pcol))
+                                    for pcol in zip(*w.p))
+                              for qrow in zip(*w.qt)), self.n)
 
     def column(self, j: int) -> IntVector:
         return tuple(self.rows[i][j] for i in range(self.n))
@@ -296,12 +308,14 @@ def _trusted(rows: tuple, n: int) -> IntMatrix:
 
 _IDENTITIES = {n: _trusted(tuple(tuple(int(i == j) for j in range(n))
                                  for i in range(n)), n)
-               for n in range(1, MAX_DIM + 1)}
+               for n in range(MAX_DIM + 1)}
 
 
 def _det_rows(rows: list[list[int]]) -> int:
     """Fraction-free Gaussian elimination (Bareiss); exact for any size here."""
     n = len(rows)
+    if n == 0:
+        return 1  # the empty product
     if n == 1:
         return rows[0][0]
     if n == 2:
@@ -324,21 +338,6 @@ def _det_rows(rows: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def _adjugate_rows(rows: list[list[int]]) -> list[list[int]]:
-    n = len(rows)
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != j]
-                for r in range(n) if r != i
-            ]
-            adj[j][i] = (-1) ** (i + j) * _det_rows(minor)
-    return adj
 
 
 # ---------------------------------------------------------------------------

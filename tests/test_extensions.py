@@ -13,6 +13,7 @@ from solgeom.classifier import enumerate_invariants
 from solgeom.extensions import (
     ExtensionGroup,
     GroupElement,
+    QuotientKind,
     from_description,
     induced_lattice_matrix,
     is_block_diagonalizable,
@@ -113,6 +114,49 @@ def test_dinf_rank_zero():
     assert g.is_torsion(u)
     wit = g.find_torsion()
     assert wit is not None and g.is_torsion(wit)
+
+
+# kind: (abelianization, h1_generator_orders, center, generator_characters,
+# w1_factors_through_z4) of the rank-0 group with axis signs -1 on the first
+# generator and +1 on the second
+RANK_ZERO_EXPECT = {
+    "Trivial": ((0, ()), {}, (0, ()), {}, True),
+    "C2": ((0, (2,)), {"g": 2}, (0, (1,)), {"g": 1}, False),
+    "Zq": ((1, ()), {"g": None}, (1, (1,)), {"g": 1}, True),
+    "ZxC2": ((1, (2,)), {"g": None, "h": 2}, (1, ((1, 0), (0, 1))),
+             {"g": 1, "h": 0}, True),
+    "Dinf": ((0, (2, 2)), {"g": 2, "h": 2}, (0, ()), {"g": 1, "h": 0},
+             False),
+    "Klein": ((1, (2,)), {"g": None, "h": 2}, (1, ((2, 0),)),
+              {"g": 1, "h": 0}, True),
+}
+
+
+def test_rank_zero_groups_of_every_kind():
+    # a rank-0 group acts by the 0x0 identity, which descriptions write as
+    # null
+    for kind, expect in RANK_ZERO_EXPECT.items():
+        gens = ("g", "h")[:extensions._KINDS[QuotientKind(kind)].arity]
+        signs = dict(zip(gens, (-1, 1)))
+        g = ExtensionGroup(kind, 0, generators=gens,
+                           action={x: None for x in gens}, axis_signs=signs)
+        assert g.action == {x: IntMatrix.identity(0) for x in gens}
+        center = g.center()
+        assert (g.abelianization(), g.h1_generator_orders(),
+                (center.rank, tuple(z.q for z in center.generators)),
+                g.generator_characters(), g.w1_factors_through_z4()) \
+            == expect, kind
+        assert all(z.t == () for z in center.generators)
+        assert g.i_lattice() == []
+        d = {"kind": kind, "rank": 0, "lattice": [], "generators": list(gens),
+             "action": {x: None for x in gens}, "axisSigns": signs}
+        assert g.to_description() == d
+        assert from_description(d).to_description() == d
+        if kind == "Dinf":
+            assert g.find_torsion() == GroupElement((), ("g",))
+    with pytest.raises(ValueError, match="no action matrices"):
+        ExtensionGroup("C2", 0, generators=("g",),
+                       action={"g": IntMatrix.identity(0)})
 
 
 def test_group_element_repr():
@@ -382,7 +426,7 @@ def test_order_exponent_table():
     def phi(m):
         return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
 
-    for n, expected in enumerate(extensions._ORDER_EXPONENT, start=1):
+    for n, expected in enumerate(extensions._ORDER_EXPONENT):
         assert expected == lcm(*[m for m in range(1, 200) if phi(m) <= n])
 
 

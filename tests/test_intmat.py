@@ -207,9 +207,16 @@ def test_arithmetic_matches_plain_lists(n):
 
 
 def test_identity_dimension_guard():
-    for n in (0, -1, MAX_DIM + 1):
+    # identity(0) is the 0x0 matrix, the action on a rank-0 lattice
+    i0 = IntMatrix.identity(0)
+    assert i0.n == 0 and i0.rows == ()
+    assert i0.det() == 1 and i0.apply(()) == ()
+    assert i0 * i0 == i0 and i0.inverse() == i0 and i0.is_identity()
+    for n in (-1, MAX_DIM + 1):
         with pytest.raises(ValueError):
             IntMatrix.identity(n)
+    with pytest.raises(ValueError):
+        IntMatrix([])  # the constructor still takes sizes 1..8 only
     with pytest.raises(TypeError):
         IntMatrix.identity(2.0)
 

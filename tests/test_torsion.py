@@ -184,10 +184,10 @@ def test_witness_that_is_not_an_involution_raises(monkeypatch):
 
 
 def test_torsion_decided_once_per_group(monkeypatch, capsys):
-    # `group torsion pillowcase(p,q,r)` meets the question twice, in the
-    # spec's torsion gate and in the command; each coset is decided once,
-    # mod 2, and a torsion-free group takes no integer solve
-    real_test, real_solve = (extensions._gf2_consistent,
+    # `group torsion pillowcase(p,q,r)` decides each coset once, mod 2,
+    # and a torsion-free group takes no integer solve; a second question
+    # to the same group is answered from the first
+    real_test, real_solve = (extensions._gf2_solve,
                              extensions.solve_integer)
     tests, solves = [], []
 
@@ -199,7 +199,7 @@ def test_torsion_decided_once_per_group(monkeypatch, capsys):
         solves.append(b)
         return real_solve(m, b)
 
-    monkeypatch.setattr(extensions, "_gf2_consistent", counting_test)
+    monkeypatch.setattr(extensions, "_gf2_solve", counting_test)
     monkeypatch.setattr(extensions, "solve_integer", counting_solve)
     assert cli.main(["group", "torsion", "pillowcase(3,2,4)"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -218,7 +218,7 @@ def test_torsion_decided_once_per_group(monkeypatch, capsys):
 
 
 def _parity_rows(rows, b):
-    """M x = b mod 2 as the bit rows extensions._gf2_consistent reads."""
+    """M x = b mod 2 as the bit rows extensions._gf2_solve reads."""
     n = len(rows[0])
     return [sum((x & 1) << j for j, x in enumerate(row)) | (c & 1) << n
             for row, c in zip(rows, b)], n
@@ -236,7 +236,12 @@ def test_mod2_test_never_refuses_a_solvable_system():
                         [rng.randint(-6, 6) for _ in range(nr)]))
     solvable = refused = 0
     for rows, b in systems:
-        consistent = extensions._gf2_consistent(*_parity_rows(rows, b))
+        eqs, n = _parity_rows(rows, b)
+        sol = extensions._gf2_solve(eqs, n)
+        if sol is not None:  # the bits returned solve every equation
+            assert all(bin(e & sol).count("1") % 2 == e >> n & 1
+                       for e in eqs), (rows, b)
+        consistent = sol is not None
         if solve_integer(rows, b) is not None:
             solvable += 1
             assert consistent, (rows, b)
@@ -269,14 +274,15 @@ def _involution(rng, n):
 def test_mod2_test_decides_the_coset_exactly(monkeypatch):
     # for an involution A and an A-fixed s, -s is in Im(I + A) over Z
     # exactly when it is mod 2 (Reiner's trivial/sign/regular summands)
-    real = extensions._gf2_consistent
+    real = extensions._gf2_solve
     verdicts = []
 
     def recording(eqs, n):
-        verdicts.append(real(eqs, n))
-        return verdicts[-1]
+        sol = real(eqs, n)
+        verdicts.append(sol is not None)
+        return sol
 
-    monkeypatch.setattr(extensions, "_gf2_consistent", recording)
+    monkeypatch.setattr(extensions, "_gf2_solve", recording)
     rng = random.Random(20261020)
     counts = Counter()
     for n in range(1, 7):
