@@ -128,11 +128,9 @@ def pillowcase_group(p: int, q: int, r: int) -> ExtensionGroup:
 
     u acts by blockdiag(A, -1) with A = [[p,q],[-r,-p]], v by
     diag(1,-1,-1); u-hat^2 spans the +1-eigenlattice of the u-action and
-    v-hat^2 = x.  Structural constructor: triple semantics (parity, sign
-    and hyperbolicity rules) live with the invariant type.
+    v-hat^2 = x.  The triple's rules live with the invariant type; as A^2 =
+    (p^2 - qr) I, ExtensionGroup itself refuses p^2 - qr != 1.
     """
-    if p * p - q * r != 1:
-        raise ValueError("p^2 - qr must be 1")
     # A has trace 0 and det -1, so A != I and det(A - I) = 0: rank 1, and
     # the fixed lattice is the line spanned by (b, -a) for the first nonzero
     # row (a, b) of A - I

@@ -39,10 +39,10 @@ class PillowcaseInvariant:
             raise InvariantError("|p| <= 1; the matrix must be hyperbolic")
         if q % 2 or r % 2:
             raise InvariantError("off-diagonal entries must be even")
-        if q <= 0:
-            raise InvariantError("q <= 0; the normalized form has q > 0")
         if p * p - q * r != 1:
-            raise InvariantError("determinant p^2 - qr is not 1")
+            raise InvariantError("determinant is not 1")
+        if q <= 0:
+            raise InvariantError("q <= 0; pass the inverse or use normalize")
 
     def matrix(self) -> IntMatrix:
         return IntMatrix([[self.p, self.q], [self.r, self.p]])
@@ -53,7 +53,7 @@ class PillowcaseInvariant:
 
 def validate(m: IntMatrix) -> PillowcaseInvariant:
     """Check every constraint on a candidate matrix, reporting the first
-    violation specifically."""
+    violation specifically; PillowcaseInvariant holds the triple's rules."""
     if m.n != 2:
         raise InvariantError("expected a 2x2 matrix")
     p, q = m.rows[0]
@@ -61,16 +61,6 @@ def validate(m: IntMatrix) -> PillowcaseInvariant:
     if p != p2:
         raise InvariantError("diagonal entries differ; the invariant matrix "
                              "has equal diagonal")
-    if p % 2 == 0:
-        raise InvariantError("p is even; it must be odd")
-    if abs(p) <= 1:
-        raise InvariantError("|p| <= 1; the matrix must be hyperbolic")
-    if q % 2 or r % 2:
-        raise InvariantError("off-diagonal entries must be even")
-    if m.det() != 1:
-        raise InvariantError("determinant is not 1")
-    if q <= 0:
-        raise InvariantError("q <= 0; pass the inverse or use normalize")
     return PillowcaseInvariant(p, q, r)
 
 
@@ -133,19 +123,24 @@ def from_extension(u: IntMatrix, v: IntMatrix, s_u: IntVector,
                    s_v: IntVector) -> PillowcaseInvariant:
     """Recover the invariant from raw extension data.
 
-    The words u, v must act by involutions; the composite W = U V must be
-    hyperbolic on a rank-2 invariant sublattice N with a rank-1 fixed
-    complement C, and the extension with the given square cocycles must be
-    torsion-free.  The result does not depend on the ambient basis.
+    Checked in this order: U and V are 3x3 involutions; the extension is
+    torsion-free; tr U = tr V = -1; W = U V fixes a line C; Z^3 = C + N for
+    N the saturation of im(W - I); W is hyperbolic on N.  The result does
+    not depend on the ambient basis.
 
-    After the torsion gate everything is exact 3x3 arithmetic.  M = W - I
-    has rank 2 exactly when C is a line: C is spanned by the primitive
-    cross product of two rows of M, and N, the saturation of im M, is the
-    plane n.x = 0 for n the primitive cross product of two columns.  U and
-    V preserve N (U W U = W^-1), so v restricts to N; its eigenlines e+-
-    are the rank-1 kernels of n stacked on V -+ I, and they form a basis
-    of N exactly when cross(e+, e-) = +-n.  The invariant is V U on N in
-    that basis, up to the sign of each e+-, which normalize absorbs.
+    After the torsion gate everything is exact 3x3 arithmetic.  C is
+    spanned by the primitive cross product c of two rows of M = W - I, N is
+    the plane n.x = 0 for n that of two columns, and [Z^3 : C + N] = |n.c|.
+    v restricts to N (U W U = W^-1); its eigenlines e+- are the rank-1
+    kernels of n stacked on V -+ I.  The invariant is V U on N in the basis
+    (e+, e-), up to the sign of each e+-, which normalize absorbs.
+
+    The checks suffice: in the other trace -1 class, swap + (-1), each
+    fixed s_g is in Im(I + A_g), so a torsion-free U and V are conjugate to
+    diag(1,-1,-1).  Then W is in SL(3,Z) and conjugate to W^-1, so it has
+    eigenvalue 1.  U and V act alike on C; by +1 they would be -I on N and
+    W = I.  So at index 1 V = (-1) + V|N, and Reiner's additive invariants
+    of Z[C2]-lattices make V|N trivial + sign: e+- span N, cross = +-n.
     """
     if u.n != 3 or v.n != 3:
         raise InvariantError("expected 3x3 actions")
@@ -162,28 +157,28 @@ def from_extension(u: IntMatrix, v: IntMatrix, s_u: IntVector,
     if witness is not None:
         raise InvariantError(f"extension has torsion: witness "
                              f"(t={witness.t}, word={witness.q})")
+    if u.trace() != -1 or v.trace() != -1:
+        raise InvariantError(f"u and v must have trace -1: tr U = "
+                             f"{u.trace()}, tr V = {v.trace()}")
 
     m = u * v - ident
     c = _line_kernel(m.rows)
     if c is None:
-        rank = 0 if m.det() else 2 if any(map(any, m.rows)) else 3
+        # M is singular (W has eigenvalue 1), so its kernel has rank 2 or 3
+        rank = 2 if any(map(any, m.rows)) else 3
         raise InvariantError("the composite action is not hyperbolic: its "
                              f"fixed lattice has rank {rank}, not 1")
     # W - I has rank 2, so its image saturates to the plane n.x = 0
     n = _line_kernel(tuple(zip(*m.rows)))
-    if _dot(n, c) == 0:
-        raise InvariantError("moved sublattice and fixed line do not span")
+    index = abs(_dot(n, c))
+    if index != 1:
+        raise InvariantError("the fixed line C and the moved sublattice N do "
+                             f"not span Z^3: [Z^3 : C + N] = |n.c| = {index}")
 
-    # eigenlines of v in that plane; they span it iff their cross is +-n
+    # eigenlines of v in that plane; their cross product is +-n
     e_plus = _line_kernel((n, *(v - ident).rows))
     e_minus = _line_kernel((n, *(v + ident).rows))
-    if e_plus is None or e_minus is None:
-        raise InvariantError("v does not restrict to a reflection on the "
-                             "moved sublattice")
     d = _cross(e_plus, e_minus)
-    if d not in (n, tuple(-x for x in n)):
-        raise InvariantError("v restricts to the non-diagonalizable "
-                             "involution class on the moved sublattice")
     # psi is V U on the plane in the eigenbasis, by Cramer's rule on the
     # coordinates other than k: y = a e+ + b e- gives a = (y x e-)_k / d_k
     k = next(i for i, x in enumerate(n) if x)

@@ -20,7 +20,7 @@ import re
 import sys
 
 from . import catalog, verify
-from .classifier import enumerate_invariants, normalize, validate
+from .classifier import enumerate_invariants, isomorphic, normalize, validate
 from .intmat import IntMatrix
 
 
@@ -49,14 +49,8 @@ def _emit(payload: dict, pretty: bool) -> None:
 # ---------------------------------------------------------------------------
 # invariant subcommands
 
-def _cmd_validate(args):
-    inv = validate(IntMatrix.parse(args.matrix))
-    return {"schema": "solgeom/invariant-v1", **inv.to_record(),
-            "matrix": inv.matrix().literal()}, 0
-
-
-def _cmd_normalize(args):
-    inv = normalize(IntMatrix.parse(args.matrix))
+def _cmd_invariant(args):
+    inv = args.reader(IntMatrix.parse(args.matrix))
     return {"schema": "solgeom/invariant-v1", **inv.to_record(),
             "matrix": inv.matrix().literal()}, 0
 
@@ -64,7 +58,8 @@ def _cmd_normalize(args):
 def _cmd_isom(args):
     left = normalize(IntMatrix.parse(args.left))
     right = normalize(IntMatrix.parse(args.right))
-    return {"schema": "solgeom/isom-v1", "isomorphic": left == right,
+    return {"schema": "solgeom/isom-v1",
+            "isomorphic": isomorphic(left, right),
             "left": left.to_record(), "right": right.to_record()}, 0
 
 
@@ -144,11 +139,11 @@ def _parser() -> _Parser:
                            help="check a matrix literal against every "
                                 "invariant constraint")
     p.add_argument("matrix", help='matrix literal "p,q;r,p"')
-    p.set_defaults(handler=_cmd_validate)
+    p.set_defaults(handler=_cmd_invariant, reader=validate)
     p = inv_sub.add_parser("normalize", parents=[pretty],
                            help="validate the matrix or its inverse")
     p.add_argument("matrix")
-    p.set_defaults(handler=_cmd_normalize)
+    p.set_defaults(handler=_cmd_invariant, reader=normalize)
     p = inv_sub.add_parser("isom", parents=[pretty],
                            help="decide whether two matrices give "
                                 "isomorphic groups")

@@ -349,7 +349,7 @@ class ExtensionGroup:
             raise ValueError("negative rank")
         if rank > MAX_DIM:
             raise ValueError(f"dimension {rank} outside supported range "
-                             f"1..{MAX_DIM}")
+                             f"0..{MAX_DIM}")
         self.rank = rank
         if lattice_names is None:
             lattice_names = tuple(f"e{i + 1}" for i in range(rank))
@@ -786,15 +786,18 @@ class ExtensionGroup:
                                       if not self.is_torsion(z))
         return CenterDescription(rank=rank, generators=tuple(gens))
 
+    @cached_property
+    def _fixed_rows(self) -> tuple[IntVector, ...]:
+        """The rows of A_g - I, stacked in generator order: the central
+        lattice vectors are their kernel and central cosets solve them."""
+        ident = IntMatrix.identity(self.rank)
+        return tuple(r for g in self.generators
+                     for r in (self.action[g] - ident).rows)
+
     def _central_lattice_basis(self):
         if not self.generators:
             return [e.t for e in self.lattice_basis_elements()]
-        ident = IntMatrix.identity(self.rank)
-        stacked = []
-        for g in self.generators:
-            diff = self.action[g] - ident
-            stacked.extend(list(r) for r in diff.rows)
-        return kernel_basis(stacked)
+        return kernel_basis(self._fixed_rows)
 
     def _central_quotient_generators(self):
         """Central elements with nontrivial quotient word: the kind's
@@ -820,8 +823,6 @@ class ExtensionGroup:
         """A central element (t, q) if the commutation equations admit an
         integer solution t, else None."""
         base = self.element((0,) * self.rank, q)
-        ident = IntMatrix.identity(self.rank)
-        stacked = []
         rhs = []
         for g in self.generators:
             h = self.generator_element(g)
@@ -829,10 +830,8 @@ class ExtensionGroup:
             if conj.q != base.q:
                 return None
             # h (t,q) h^-1 = (rho(g) t + d, q) must equal (t, q)
-            diff = self.action[g] - ident
-            stacked.extend(list(r) for r in diff.rows)
             rhs.extend(vec_neg(conj.t))
-        sol = solve_integer(stacked, rhs)
+        sol = solve_integer(self._fixed_rows, rhs)
         if sol is None:
             return None
         return self.element(sol, base.q)

@@ -295,13 +295,11 @@ def monodromy_image_type(images: list[IntMatrix]) -> MonodromyType:
     """
     distinct = []
     for m in images:
-        _require_gl2(m)
         if m == _ID:
             continue
-        order = element_order(m)
-        if order != 2 or m == _MINUS_ID:
-            return MonodromyType.OTHER
-        if finite_order_class(m) is not FiniteOrderClass.REFLECTION:
+        # element_order rejects a matrix outside GL(2,Z)
+        if element_order(m) is None or \
+                finite_order_class(m) is not FiniteOrderClass.REFLECTION:
             return MonodromyType.OTHER
         if m not in distinct:
             distinct.append(m)

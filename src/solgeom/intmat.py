@@ -108,7 +108,7 @@ class IntMatrix:
             return _IDENTITIES[operator.index(n)]
         except KeyError:
             raise ValueError(f"dimension {n} outside supported range "
-                             f"1..{MAX_DIM}") from None
+                             f"0..{MAX_DIM}") from None
 
     @classmethod
     def zero(cls, n: int) -> "IntMatrix":
@@ -316,10 +316,6 @@ def _det_rows(rows: list[list[int]]) -> int:
     n = len(rows)
     if n == 0:
         return 1  # the empty product
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     m = [row[:] for row in rows]
     sign = 1
     prev = 1

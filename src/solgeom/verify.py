@@ -77,6 +77,10 @@ def _fail(key, expected, actual) -> dict:
     return {"input": key, "expected": expected, "actual": actual}
 
 
+def _mat(t):
+    return IntMatrix([[t[0], t[1]], [t[2], t[3]]])
+
+
 # ---------------------------------------------------------------------------
 # order-twelve: the closed-form element order against twelfth powers
 
@@ -88,7 +92,7 @@ def _unimodular_tuples(box: int):
 
 
 def _check_order_twelve(t):
-    m = IntMatrix([[t[0], t[1]], [t[2], t[3]]])
+    m = _mat(t)
     order = element_order(m)
     twelfth_is_identity = (m ** 12).is_identity()
     if twelfth_is_identity != (order is not None):
@@ -115,9 +119,7 @@ def run_finite_subgroups(box: int = 6) -> VerificationReport:
             instances.append((cls.name, tuple(m.rows[0] + m.rows[1])))
 
     def check(inst):
-        name, t = inst
-        m = IntMatrix([[t[0], t[1]], [t[2], t[3]]])
-        if element_order(m) is None:
+        if element_order(_mat(inst[1])) is None:
             return _fail(inst, "every sampled centralizer element has "
                          "finite order", "infinite order")
         return None
@@ -144,10 +146,6 @@ _SYNTHETIC_PAIRS = (
     (((0, 1, -1, 0), (1, -2, 0, -1)), 5),
     (((0, 1, -1, 0), (1, 2, -1, -1)), 6),
 )
-
-
-def _mat(t):
-    return IntMatrix([[t[0], t[1]], [t[2], t[3]]])
 
 
 def _check_two_ended(mats, inst):
@@ -341,15 +339,20 @@ def _example_kb_center(_):
     return None
 
 
-def _example_involution(_):
+def _sigma_swap(y_image):
+    """sigma, its presentation and the images of u <-> v, x -> x^3 y^-2."""
     g = catalog.sigma_group()
-    pres = g.presentation()
     images = {
         "u": g.evaluate_word("v"),
         "v": g.evaluate_word("u"),
         "x": g.evaluate_word("x^3 y^-2"),
-        "y": g.evaluate_word("x^4 y^-3"),
+        "y": g.evaluate_word(y_image),
     }
+    return g, g.presentation(), images
+
+
+def _example_involution(_):
+    g, pres, images = _sigma_swap("x^4 y^-3")
     if not verify_homomorphism(pres, images, g):
         return _fail("involution", "the corrected involution kills every "
                      "relator", "a relator survives")
@@ -372,14 +375,7 @@ def _example_involution(_):
 
 
 def _example_rejected_variant(_):
-    g = catalog.sigma_group()
-    pres = g.presentation()
-    images = {
-        "u": g.evaluate_word("v"),
-        "v": g.evaluate_word("u"),
-        "x": g.evaluate_word("x^3 y^-2"),
-        "y": g.evaluate_word("x^4 y^3"),
-    }
+    g, pres, images = _sigma_swap("x^4 y^3")
     if verify_homomorphism(pres, images, g):
         return _fail("involution-variant", "the sign-flipped y image breaks "
                      "a relator", "all relators hold")
@@ -426,15 +422,15 @@ def run_catalog_examples() -> VerificationReport:
 
 # ---------------------------------------------------------------------------
 
-# suite name -> (bound kind, per-suite default, runner)
+# suite name -> (bound kind, runner); the runner holds the default bound
 SUITES = {
-    "order-twelve": ("box", 3, run_order_twelve),
-    "finite-subgroups": ("box", 6, run_finite_subgroups),
-    "two-ended": ("box", 3, run_two_ended),
-    "roundtrip": ("max_entry", 20, run_roundtrip),
-    "homology": ("max_entry", 20, run_homology),
-    "bordered-family": ("a_max", 12, run_bordered_family),
-    "catalog-examples": (None, None, run_catalog_examples),
+    "order-twelve": ("box", run_order_twelve),
+    "finite-subgroups": ("box", run_finite_subgroups),
+    "two-ended": ("box", run_two_ended),
+    "roundtrip": ("max_entry", run_roundtrip),
+    "homology": ("max_entry", run_homology),
+    "bordered-family": ("a_max", run_bordered_family),
+    "catalog-examples": (None, run_catalog_examples),
 }
 
 
@@ -446,12 +442,10 @@ def run_suite(name: str, *, box: int | None = None,
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(sorted(SUITES))}")
-    kind, default, fn = SUITES[name]
+    kind, fn = SUITES[name]
     given = {"box": box, "max_entry": max_entry, "a_max": a_max}
     for key, value in given.items():
         if value is not None and value < 0:
             raise ValueError(f"{key} must be at least 0, not {value}")
-    if kind is None:
-        return fn()
-    value = given[kind]
-    return fn(**{kind: default if value is None else value})
+    value = given.get(kind)
+    return fn() if value is None else fn(**{kind: value})

@@ -23,8 +23,12 @@ from solgeom.classifier import (
     presentation_from_invariant,
     validate,
 )
-from solgeom.extensions import render_word
-from solgeom.intmat import IntMatrix
+from solgeom.extensions import (
+    ExtensionGroup,
+    render_word,
+    verify_homomorphism,
+)
+from solgeom.intmat import IntMatrix, vec_neg, vec_sub
 
 U0 = IntMatrix([[3, 2, 0], [-4, -3, 0], [0, 0, -1]])
 V0 = IntMatrix.diagonal((1, -1, -1))
@@ -42,8 +46,15 @@ def test_validate_reports_each_violation():
         ("3,-2;-4,3", "q <= 0"),
     ]
     for text, fragment in cases:
-        with pytest.raises(InvariantError, match=fragment):
-            validate(IntMatrix.parse(text))
+        m = IntMatrix.parse(text)
+        with pytest.raises(InvariantError, match=fragment) as raised:
+            validate(m)
+        (p, q), (r, p2) = m.rows
+        if p == p2:
+            # the triple's rules are stated once, in the invariant type
+            with pytest.raises(InvariantError) as direct:
+                PillowcaseInvariant(p, q, r)
+            assert str(direct.value) == str(raised.value)
     assert validate(IntMatrix.parse("3,2;4,3")) == PillowcaseInvariant(3, 2, 4)
 
 
@@ -140,30 +151,68 @@ def test_from_extension_rejections():
                        (0, 0, 0), SV0)
     with pytest.raises(InvariantError, match="fixed lattice has rank 3"):
         from_extension(V0, V0, SV0, SV0)
+    with pytest.raises(InvariantError, match="fixed lattice has rank 2"):
+        from_extension(V0, IntMatrix([[1, 0, 0], [0, -1, 0], [2, 0, -1]]),
+                       (1, 0, 0), (1, 0, 1))
     with pytest.raises(InvariantError, match="not hyperbolic on"):
-        # diagonal involutions: the composite has finite order
+        # W has order 2 on the moved sublattice
+        from_extension(IntMatrix([[-1, 0, 2], [0, -1, 0], [0, 0, 1]]),
+                       IntMatrix([[1, 0, 0], [2, -1, 0], [0, 0, -1]]),
+                       (-1, 0, -1), (-1, -1, 0))
+    with pytest.raises(InvariantError, match=r"tr U = 1, tr V = 1$"):
+        # diagonal involutions, each with a fixed plane
         from_extension(IntMatrix.diagonal((1, -1, 1)),
                        IntMatrix.diagonal((1, 1, -1)),
                        (1, 0, 0), (1, 0, 0))
     with pytest.raises(InvariantError, match="torsion"):
         from_extension(U0, V0, (0, 0, 0), SV0)
-    with pytest.raises(InvariantError, match="non-diagonalizable"):
-        # v acts by the swap class on the moved sublattice
+    with pytest.raises(InvariantError, match=r"tr U = 1, tr V = 1$"):
+        # v is the swap class, of trace 1
         from_extension(IntMatrix([[3, 8, 0], [-1, -3, 0], [0, 0, 1]]),
                        IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
                        (-4, 1, 1), (0, 0, 1))
     with pytest.raises(InvariantError, match="3x3"):
         from_extension(IntMatrix.identity(2), IntMatrix.identity(2),
                        (0, 0), (0, 0))
-    with pytest.raises(InvariantError, match="do not span"):
-        # W - I has image and kernel in the plane z = 0
-        from_extension(IntMatrix([[1, -1, 1], [0, -1, 2], [0, 0, 1]]),
-                       IntMatrix([[1, 0, 0], [0, -1, 1], [0, 0, 1]]),
-                       (0, 1, 1), (1, 0, 0))
-    with pytest.raises(InvariantError, match="not restrict to a reflection"):
-        # u acts trivially, so v acts on the moved plane x = 0 as -I
+    with pytest.raises(InvariantError, match=r"\|n\.c\| = 0$"):
+        # the fixed line lies in the moved plane
+        from_extension(IntMatrix([[1, 2, 0], [0, -1, 0], [-2, -2, -1]]), V0,
+                       (1, 0, -1), (-1, 0, 0))
+    with pytest.raises(InvariantError, match=r"tr U = 3, tr V = -1$"):
+        # u acts trivially
         from_extension(ident3, IntMatrix.diagonal((1, -1, -1)),
                        (-1, -1, 0), (1, 0, 0))
+
+
+def _input_group(u, v, su, sv):
+    return ExtensionGroup("Dinf", 3, generators=("u", "v"),
+                          action={"u": u, "v": v},
+                          cocycles={"u": su, "v": sv})
+
+
+def test_from_extension_rejects_groups_outside_the_family():
+    # the two smallest torsion-free inputs that the earlier recovery (kept
+    # as the kernel oracle) named an invariant for, although their H1 is
+    # not that invariant's group's: one of trace 1, one of index 2
+    cases = [
+        ((IntMatrix([[1, 0, -2], [0, 1, -2], [0, 0, -1]]),
+          IntMatrix([[1, 0, 0], [0, 1, 0], [0, -2, -1]]),
+          (1, 3, 0), (-1, 3, -3)),
+         r"tr U = 1, tr V = 1$", (3, 2, 4), (1, (4, 4))),
+        ((IntMatrix([[1, -2, 0], [0, -1, 0], [-2, 2, -1]]),
+          IntMatrix([[-1, 0, 0], [-4, -1, 2], [-4, 0, 1]]),
+          (-1, 0, 1), (0, 1, 1)),
+         r"\|n\.c\| = 2$", (5, 12, 2), (0, (2, 4, 4))),
+    ]
+    for args, message, named, h1 in cases:
+        with pytest.raises(InvariantError, match=message):
+            from_extension(*args)
+        old = oracles.from_extension_by_kernels(*args)
+        assert old == PillowcaseInvariant(*named)
+        group = _input_group(*args)
+        assert group.find_torsion() is None
+        assert group.abelianization() == h1
+        assert group_from_invariant(old).abelianization() != h1
 
 
 # involution classes of GL(3,Z), each with a basis of its fixed lattice:
@@ -210,28 +259,33 @@ def _recovery(f, args):
         return type(exc), str(exc)
 
 
-# every message from_extension can raise; the torsion one ends in a witness
+# every message from_extension can raise, up to the data that some of them
+# name: the torsion witness, the two traces, the index
 _REACHABLE_REJECTIONS = {
     "expected 3x3 actions",
     "u and v must act by involutions",
     "square cocycle of 'u' is not fixed by its action",
-    "extension has torsion",
+    "extension has torsion: witness",
+    "u and v must have trace -1",
     *(f"the composite action is not hyperbolic: its fixed lattice has "
-      f"rank {k}, not 1" for k in (0, 2, 3)),
-    "moved sublattice and fixed line do not span",
-    "v does not restrict to a reflection on the moved sublattice",
-    "v restricts to the non-diagonalizable involution class on the moved "
-    "sublattice",
+      f"rank {k}, not 1" for k in (2, 3)),
+    "the fixed line C and the moved sublattice N do not span Z^3",
     "the composite action is not hyperbolic on the moved sublattice",
-    *("neither the matrix nor its inverse is a valid invariant: " + m
-      for m in ("p is even; it must be odd",
-                "off-diagonal entries must be even")),
+}
+# the membership checks, which the kernel oracle does not make
+_MEMBERSHIP_REJECTIONS = {
+    "u and v must have trace -1",
+    "the fixed line C and the moved sublattice N do not span Z^3",
 }
 
 
 def test_from_extension_matches_kernel_oracle():
     # the closed form against the echelon-kernel and Smith-form recovery:
     # the same invariant or the same exception and message on every input
+    # that passes the membership checks.  An accepted input's group has
+    # its invariant's H1, by the library and by determinantal divisors; an
+    # input that fails them, and that the oracle names an invariant for,
+    # has another H1
     rng = random.Random(20261018)
     inputs = [(IntMatrix.identity(2), IntMatrix.identity(2), (0, 0), (0, 0)),
               (IntMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), V0, SU0, SV0),
@@ -251,18 +305,73 @@ def test_from_extension_matches_kernel_oracle():
         (u, su), (v, sv) = _random_involution(rng), _random_involution(rng)
         inputs.append((u, v, su, sv))
     seen = set()
-    accepted = 0
+    accepted = misnamed = 0
     for i, args in enumerate(inputs):
         got = _recovery(from_extension, args)
-        assert got == _recovery(oracles.from_extension_by_kernels, args), args
+        old = _recovery(oracles.from_extension_by_kernels, args)
         if isinstance(got, PillowcaseInvariant):
             accepted += 1
             assert wanted.get(i, got) == got
+            group = _input_group(*args)
+            h1 = group.abelianization()
+            assert h1 == group_from_invariant(got).abelianization(), args
+            assert h1 == oracles.cokernel_by_minors(
+                group._relator_matrix_rows()[1]), args
         else:
-            seen.add(got[1].split(": witness")[0])
+            reason, = (r for r in _REACHABLE_REJECTIONS
+                       if got[1].startswith(r))
+            seen.add(reason)
             assert i not in wanted
+            if reason in _MEMBERSHIP_REJECTIONS:
+                if reason.endswith("trace -1"):
+                    u, v = args[:2]
+                    assert got[1].endswith(
+                        f": tr U = {u.trace()}, tr V = {v.trace()}")
+                if isinstance(old, PillowcaseInvariant):
+                    misnamed += 1
+                    assert _input_group(*args).abelianization() != \
+                        group_from_invariant(old).abelianization(), args
+                continue
+        assert got == old, args
     assert seen == _REACHABLE_REJECTIONS
-    assert accepted >= 52 * 4 + 100
+    assert accepted >= 52 * 4 + 50
+    assert misnamed >= 450
+
+
+def test_from_extension_certificate():
+    # with Z^3 = C + N, the basis (e+, +-e-, c) and translations t_u, t_v
+    # solving (I + A_g) t_g = P s'_g - s_g map the invariant's group onto
+    # the input group: an isomorphism on Z^3 and on D-infinity, checked on
+    # every relator by verify_homomorphism
+    rng = random.Random(16)
+    ident = IntMatrix.identity(3)
+    for inv in enumerate_invariants(20):
+        pres, h = presentation_from_invariant(inv)
+        hu, hv = h.action["u"], h.action["v"]
+        for _ in range(4):
+            b = rand_unimodular(rng)
+            binv = b.inverse()
+            u, v = b * hu * binv, b * hv * binv
+            su, sv = b.apply(h.square_cocycle["u"]), \
+                b.apply(h.square_cocycle["v"])
+            assert from_extension(u, v, su, sv) == inv
+            (c,) = intmat.kernel_basis(u * v - ident)
+            (n,) = intmat.kernel_basis((u * v - ident).transpose())
+            (e_plus,) = intmat.kernel_basis(v - ident)
+            (e_minus,) = intmat.kernel_basis([n, *(v + ident).rows])
+            bases = [IntMatrix.from_columns([e_plus, e_minus, c]),
+                     IntMatrix.from_columns([e_plus, vec_neg(e_minus), c])]
+            p, = [m for m in bases
+                  if m * hu == u * m and m * hv == v * m]
+            g = _input_group(u, v, su, sv)
+            images = {name: g.element(col)
+                      for name, col in zip("xyz", p.columns())}
+            for name, a, s in (("u", u, su), ("v", v, sv)):
+                t = intmat.solve_integer(
+                    ident + a, vec_sub(p.apply(h.square_cocycle[name]), s))
+                images[name] = g.element_mul(g.element(t),
+                                             g.generator_element(name))
+            assert verify_homomorphism(pres, images, g), (inv, b)
 
 
 def test_torsion_free_recovery_takes_no_smith_form_or_kernel(monkeypatch):

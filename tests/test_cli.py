@@ -31,6 +31,20 @@ def test_isom_distinct(capsys):
     assert code == 0 and out["isomorphic"] is False
 
 
+def test_isom_reports_the_library_decision(capsys, monkeypatch):
+    # the command prints whatever classifier.isomorphic decides, on the
+    # normalized pair, whichever way equality of normal forms goes
+    calls = []
+    for verdict, left, right in ((True, "3,2;4,3", "3,4;2,3"),
+                                 (False, "3,2;4,3", "3,-2;-4,3")):
+        monkeypatch.setattr(cli, "isomorphic",
+                            lambda a, b, v=verdict: calls.append((a, b)) or v)
+        code, out = run(capsys, "invariant", "isom", left, right)
+        assert code == 0 and out["isomorphic"] is verdict
+        a, b = calls.pop()
+        assert (a.to_record(), b.to_record()) == (out["left"], out["right"])
+
+
 def test_validate_ok(capsys):
     code, out = run(capsys, "invariant", "validate", "3,2;4,3")
     assert code == 0
@@ -272,7 +286,7 @@ def test_torsion_rejects_bound_below_one(capsys, bound):
     ("h1", {"kind": "Zq", "rank": 1, "generators": ["s"],
             "action": {"s": [[-1]]}, "name": [1]}, "'name' must be a string"),
     ("h1", {"kind": "Trivial", "rank": 10 ** 9},
-     "dimension 1000000000 outside supported range 1..8"),
+     "dimension 1000000000 outside supported range 0..8"),
 ])
 def test_malformed_description_is_one_error_document(capsys, tmp_path,
                                                      command, payload,

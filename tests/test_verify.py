@@ -12,10 +12,24 @@ from solgeom.intmat import IntMatrix
 from solgeom.verify import VerificationReport, run_suite
 
 
+# each suite's default bound, as its report records it
+_DEFAULT_BOUNDS = {
+    "order-twelve": {"box": 3},
+    "finite-subgroups": {"box": 6},
+    "two-ended": {"box": 3},
+    "roundtrip": {"maxEntry": 20},
+    "homology": {"maxEntry": 20},
+    "bordered-family": {"aMax": 12},
+    "catalog-examples": {},
+}
+
+
 @pytest.mark.parametrize("name", sorted(verify.SUITES))
 def test_suite_green_at_defaults(name):
     rep = run_suite(name)
     assert rep.suite == name
+    bounds = {k: v for k, v in rep.parameters.items() if k != "notes"}
+    assert bounds == _DEFAULT_BOUNDS[name]
     assert rep.ok, rep.failures[:3]
     assert rep.failures == []
     assert rep.instances > 0

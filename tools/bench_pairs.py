@@ -13,8 +13,11 @@ With --trace-seed, one traced run (--trace 1) per side and workload
 follows the pairs.  The output file holds each run's last stdout line
 verbatim, tagged with side, workload, seed and order; the Python version,
 CPU count and source line counts of both sides; and, per workload and
-end-to-end metric, each side's median and quartiles and the number of
-pairs the change won.  Standard library only.
+end-to-end metric, each side's median and quartiles, the number of
+pairs the change won and whether the change stays within the metric's
+bound.  Each metric's direction and bound come from BENCHMARK.json, which
+must declare the same end-to-end metrics in both checkouts.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
-# ops_per_s is better when higher; every other end-to-end metric when lower
-HIGHER_IS_BETTER = {"ops_per_s"}
 
 
 def _seeds(text):
@@ -52,15 +53,18 @@ def _environment(root):
             "wc -l src/solgeom/*.py": wc.rstrip("\n").split("\n")}
 
 
-def _run_seconds(roots):
-    """The run length both checkouts' BENCHMARK.json set."""
-    seconds = set()
+def _benchmark(roots):
+    """The run length and the end-to-end metrics, by name, that both
+    checkouts' BENCHMARK.json declare."""
+    specs = set()
     for root in roots.values():
         with open(os.path.join(root, "BENCHMARK.json")) as f:
-            seconds.add(json.load(f)["run_seconds"])
-    if len(seconds) != 1:
-        raise SystemExit(f"BENCHMARK.json run_seconds differ: {seconds}")
-    return seconds.pop()
+            spec = json.load(f)
+        specs.add(json.dumps([spec["run_seconds"], spec["end_to_end"]]))
+    if len(specs) != 1:
+        raise SystemExit("BENCHMARK.json run_seconds or end_to_end differ")
+    seconds, metrics = json.loads(specs.pop())
+    return seconds, {m["name"]: m for m in metrics}
 
 
 def _run(root, workload, seed, seconds, trace):
@@ -80,9 +84,11 @@ def _quartiles(values):
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def summarize(runs):
-    """Per workload and metric: each side's quartiles and the change's
-    wins over the untraced pairs (ties count for neither side)."""
+def summarize(runs, end_to_end):
+    """Per workload and end-to-end metric: each side's quartiles, the
+    change's wins over the untraced pairs (ties count for neither side),
+    and whether the change's median is worse than the parent's by no more
+    than the metric's bound, a fraction of the parent's median."""
     by_key = {}
     for r in runs:
         if r["trace"]:
@@ -93,13 +99,18 @@ def summarize(runs):
                 r["seed"], {})[r["side"]] = m["value"]
     out = {}
     for (workload, name), pairs in sorted(by_key.items()):
+        if name not in end_to_end:
+            continue
         pairs = [p for p in pairs.values() if len(p) == 2]
-        sign = 1 if name in HIGHER_IS_BETTER else -1
+        sign = 1 if end_to_end[name]["better"] == "higher" else -1
         entry = {side: _quartiles([p[side] for p in pairs])
                  for side in SIDES}
         entry["pairs"] = len(pairs)
         entry["change_wins"] = sum(
             1 for p in pairs if sign * (p["change"] - p["parent"]) > 0)
+        parent, change = (entry[side]["median"] for side in SIDES)
+        entry["within_bound"] = \
+            sign * (parent - change) <= end_to_end[name]["bound"] * abs(parent)
         out.setdefault(workload, {})[name] = entry
     return out
 
@@ -115,7 +126,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
-    seconds = _run_seconds(roots)
+    seconds, end_to_end = _benchmark(roots)
 
     plan = []
     for workload in args.workloads.split(","):
@@ -140,7 +151,7 @@ def main(argv=None):
                     "alternate which side runs first",
            "environment": {side: _environment(roots[side])
                            for side in SIDES},
-           "summary": summarize(runs),
+           "summary": summarize(runs, end_to_end),
            "runs": runs}
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1)
