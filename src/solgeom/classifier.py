@@ -83,7 +83,7 @@ def isomorphic(a: PillowcaseInvariant, b: PillowcaseInvariant) -> bool:
 
 def enumerate_invariants(max_entry: int) -> list[PillowcaseInvariant]:
     """All invariants with max(|p|, q, r) <= max_entry, sorted by
-    (|p|, sign, q) with positive p first."""
+    (|p|, sign, q) with positive p first, the order the loops visit."""
     if max_entry < 3:
         return []
     out = []
@@ -96,7 +96,6 @@ def enumerate_invariants(max_entry: int) -> list[PillowcaseInvariant]:
                 r = target // q
                 if r % 2 == 0 and 0 < r <= max_entry:
                     out.append(PillowcaseInvariant(p, q, r))
-    out.sort(key=lambda v: (abs(v.p), 0 if v.p > 0 else 1, v.q))
     return out
 
 

@@ -193,11 +193,6 @@ def main(argv=None) -> int:
     pretty = getattr(args, "pretty", False)
     try:
         payload, code = args.handler(args)
-    except KeyError as exc:
-        _emit({"schema": "solgeom/error-v1",
-               "error": f"group description missing field {exc.args[0]!r}"},
-              pretty)
-        return 1
     except (ValueError, OSError) as exc:
         _emit({"schema": "solgeom/error-v1", "error": str(exc)}, pretty)
         return 1

@@ -233,8 +233,8 @@ class _Klein(_Kind):
         return t, (a, b + exp)
 
     def central(self, G):
-        m = G._finite_action_order(G.generators[0], even_only=True)
-        return [] if m is None else [(m, 0)]
+        m = G._finite_action_order(G.generators[0])
+        return [] if m is None else [(lcm(m, 2), 0)]
 
     def check_structure(self, G):
         mx, my = (G.action[x] for x in G.generators)
@@ -304,11 +304,8 @@ class FpPresentation:
 
 class _H1Data(NamedTuple):
     gens: tuple[str, ...]
-    free_rank: int
-    torsion: tuple[int, ...]
+    d: list[int]
     p: list[list[int]]
-    rank: int
-    diag: list[int]
 
 
 def _gf2_solve(eqs: list[int], n: int) -> int | None:
@@ -377,11 +374,14 @@ class ExtensionGroup:
                              "generators")
         self.action = {}
         for g, m in action.items():
-            if rank == 0:
-                # descriptions hold null for the 0x0 matrix
-                if m is not None:
-                    raise ValueError("rank-0 group takes no action matrices")
+            # descriptions hold null for the 0x0 matrix, and only for it
+            if m is None:
+                if rank:
+                    raise ValueError(f"action of {g!r} is null, but the "
+                                     f"rank is {rank}")
                 m = IntMatrix.identity(0)
+            elif rank == 0:
+                raise ValueError("rank-0 group takes no action matrices")
             if not isinstance(m, IntMatrix):
                 m = IntMatrix(m)
             if m.n != rank:
@@ -677,40 +677,31 @@ class ExtensionGroup:
 
     @cached_property
     def _h1_data(self) -> _H1Data:
-        """The abelianization, built once per group: free rank, torsion
-        and the Smith form; H1 coordinates of a class x are P x."""
+        """The abelianization, built once per group from the Smith form
+        P M Q of the relator matrix: H1 is the sum of the Z/d_j, and the
+        H1 coordinates of a class x are P x."""
         gens, rows = self._relator_matrix_rows()
-        if not gens:
-            return _H1Data(gens, 0, (), [], 0, [])
-        nr, nc = len(gens), len(rows[0])
         w = smith_rows(rows)
-        rank = sum(1 for i in range(min(nr, nc)) if w.s[i][i] != 0)
-        diag = [w.s[i][i] for i in range(rank)]
-        torsion = tuple(d for d in diag if d > 1)
-        return _H1Data(gens, nr - rank, torsion, w.p, rank, diag)
+        return _H1Data(gens, w.d, w.p)
 
     def abelianization(self) -> tuple[int, tuple[int, ...]]:
         """(free rank, torsion coefficients) of pi / [pi, pi]."""
-        h1 = self._h1_data
-        return h1.free_rank, h1.torsion
+        d = self._h1_data.d
+        return d.count(0), tuple(x for x in d if x > 1)
 
     def h1_generator_orders(self) -> dict[str, int | None]:
         """Order of each generator's image in the abelianization (None for
         infinite)."""
         h1 = self._h1_data
-        gens, p, rank, diag = h1.gens, h1.p, h1.rank, h1.diag
-        nr = len(gens)
         orders = {}
-        for i, g in enumerate(gens):
-            coords = [p[j][i] for j in range(nr)]
-            if any(coords[j] for j in range(rank, nr)):
-                orders[g] = None
-                continue
+        for i, g in enumerate(h1.gens):
             order = 1
-            for j in range(rank):
-                d = diag[j]
+            for row, d in zip(h1.p, h1.d):
+                if d == 0 and row[i]:
+                    order = None
+                    break
                 if d > 1:
-                    order = lcm(order, d // gcd(d, coords[j] % d))
+                    order = lcm(order, d // gcd(d, row[i]))
             orders[g] = order
         return orders
 
@@ -760,7 +751,7 @@ class ExtensionGroup:
         # bit nr for w_i
         c = _gf2_solve([sum((p[j][i] & 1) << j for j in range(nr))
                         | chars[g] << nr for i, g in enumerate(h1.gens)], nr)
-        return not any(c >> j & 1 for j in range(h1.rank) if h1.diag[j] % 4)
+        return not any(c >> j & 1 for j, d in enumerate(h1.d) if d % 4)
 
     # -- center and friends -------------------------------------------------
 
@@ -805,8 +796,8 @@ class ExtensionGroup:
         return [z for z in map(self._solve_central_in_coset,
                                self._k.central(self)) if z is not None]
 
-    def _finite_action_order(self, g, even_only=False):
-        """Least positive (even, if asked) k with action(g)^k = I, or None.
+    def _finite_action_order(self, g):
+        """Least positive k with action(g)^k = I, or None.
 
         Exact: every finite order in GL(n,Z) divides L(n), so A has finite
         order iff A^L(n) = I, one power by repeated squaring.
@@ -817,7 +808,7 @@ class ExtensionGroup:
         k, acc = 1, a
         while not acc.is_identity():
             k, acc = k + 1, acc * a
-        return 2 * k if even_only and k % 2 else k
+        return k
 
     def _solve_central_in_coset(self, q) -> GroupElement | None:
         """A central element (t, q) if the commutation equations admit an
@@ -841,12 +832,9 @@ class ExtensionGroup:
     def i_lattice(self) -> list[IntVector]:
         """Basis of the lattice vectors whose images in H1 are torsion."""
         h1 = self._h1_data
-        gens, p, rank = h1.gens, h1.p, h1.rank
-        nr = len(gens)
-        if h1.free_rank == 0:
+        rows = [row[:self.rank] for row, d in zip(h1.p, h1.d) if d == 0]
+        if not rows:
             return [e.t for e in self.lattice_basis_elements()]
-        rows = [[p[j][i] for i in range(self.rank)]
-                for j in range(rank, nr)]
         return kernel_basis(rows)
 
     # -- serialization ------------------------------------------------------
@@ -928,20 +916,22 @@ def _check_description_shape(d) -> None:
 
 def from_description(d: dict) -> ExtensionGroup:
     """Build a group from its JSON-style description dict.  A description
-    of the wrong shape raises ValueError; a missing kind or rank raises
-    KeyError."""
+    of the wrong shape, or one missing its kind or rank, raises
+    ValueError."""
     _check_description_shape(d)
-    kind = QuotientKind(d["kind"])
-    rank = d["rank"]
-    given_action = d.get("action") or {}
+    try:
+        kind, rank = QuotientKind(d["kind"]), d["rank"]
+    except KeyError as exc:
+        raise ValueError(f"group description missing field "
+                         f"{exc.args[0]!r}") from None
+    action = d.get("action") or {}
     generators = d.get("generators")
     if generators is None:
         if _KINDS[kind].arity <= 1:
-            generators = list(given_action)
+            generators = list(action)
         else:
             raise ValueError("description needs a generators list to fix "
                              "generator roles")
-    action = {g: (None if rank == 0 else m) for g, m in given_action.items()}
     return ExtensionGroup(
         kind,
         rank,

@@ -375,10 +375,11 @@ def _mix(r, s, x, y, u, v):
 
 
 class SmithRows(NamedTuple):
-    """P * M * Q = S for a rectangular M, all as lists of rows; qt is Q
-    transposed (row j of qt is column j of Q)."""
+    """P * M * Q = S for a rectangular nr x nc M: d is the diagonal of S,
+    one entry per row of M with 0 past the last column; p is P and qt is
+    Q transposed (row j of qt is column j of Q), as lists of rows."""
 
-    s: list[list[int]]
+    d: list[int]
     p: list[list[int]]
     qt: list[list[int]]
 
@@ -457,11 +458,12 @@ def smith_rows(rows) -> SmithRows:
                 break
             s[t] = [x + y for x, y in zip(s[t], s[bad])]
             p[t] = [x + y for x, y in zip(p[t], p[bad])]
+    d = [s[i][i] if i < nc else 0 for i in range(nr)]
     for i in range(min(nr, nc)):
-        if s[i][i] < 0:
-            s[i] = [-x for x in s[i]]
+        if d[i] < 0:
+            d[i] = -d[i]
             p[i] = [-x for x in p[i]]
-    return SmithRows(s, p, qt)
+    return SmithRows(d, p, qt)
 
 
 def lattice_basis(vectors: list[IntVector]) -> list[IntVector]:
@@ -521,13 +523,10 @@ def solve_integer(m, b: IntVector) -> IntVector | None:
     nc = len(rows[0]) if nr else 0
     if len(b) != nr:
         raise ValueError("dimension mismatch")
-    if nc == 0:
-        return () if all(x == 0 for x in b) else None
     w = smith_rows(rows)
     y = [0] * nc
-    for i, row in enumerate(w.p):
+    for i, (row, d) in enumerate(zip(w.p, w.d)):
         c = sum(x * z for x, z in zip(row, b))
-        d = w.s[i][i] if i < nc else 0
         if d == 0:
             if c != 0:
                 return None
@@ -590,13 +589,5 @@ def cokernel_invariants(m) -> tuple[int, tuple[int, ...]]:
     Torsion coefficients are the diagonal entries > 1, listed in divisibility
     order.
     """
-    rows = _rows(m)
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    if nc == 0:
-        return nr, ()
-    w = smith_rows(rows)
-    diag = [w.s[i][i] if i < nc else 0 for i in range(nr)]
-    free = sum(1 for d in diag if d == 0)
-    torsion = tuple(d for d in diag if d > 1)
-    return free, torsion
+    d = smith_rows(_rows(m)).d
+    return d.count(0), tuple(x for x in d if x > 1)

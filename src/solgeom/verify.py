@@ -60,15 +60,13 @@ class VerificationReport:
         }
 
 
-def _run(suite: str, instances, check, parameters: dict,
-         notes=None) -> VerificationReport:
+def _run(suite: str, instances, check,
+         parameters: dict) -> VerificationReport:
     start = time.perf_counter()
     instances = list(instances)
     failures = [r for r in map(check, instances) if r is not None]
     failures.sort(key=lambda f: str(f.get("input")))
     elapsed = time.perf_counter() - start
-    if notes:
-        parameters = dict(parameters, notes=list(notes))
     return VerificationReport(suite, len(instances), failures, elapsed,
                               parameters)
 
@@ -329,7 +327,7 @@ def run_bordered_family(a_max: int = 12) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # catalog-examples: the named groups behave as documented
 
-def _example_kb_center(_):
+def _example_kb_center():
     g = catalog.kb_monodromy_group()
     c = g.center()
     words = [g.element_to_word(e) for e in c.generators]
@@ -351,7 +349,7 @@ def _sigma_swap(y_image):
     return g, g.presentation(), images
 
 
-def _example_involution(_):
+def _example_involution():
     g, pres, images = _sigma_swap("x^4 y^-3")
     if not verify_homomorphism(pres, images, g):
         return _fail("involution", "the corrected involution kills every "
@@ -374,7 +372,7 @@ def _example_involution(_):
     return None
 
 
-def _example_rejected_variant(_):
+def _example_rejected_variant():
     g, pres, images = _sigma_swap("x^4 y^3")
     if verify_homomorphism(pres, images, g):
         return _fail("involution-variant", "the sign-flipped y image breaks "
@@ -382,7 +380,7 @@ def _example_rejected_variant(_):
     return None
 
 
-def _example_flat_endomorphism(_):
+def _example_flat_endomorphism():
     g = catalog.b1_group()
     pres = g.presentation()
     images = {
@@ -410,14 +408,11 @@ _EXAMPLE_CHECKS = (
 
 
 def run_catalog_examples() -> VerificationReport:
-    def check(i):
-        return _EXAMPLE_CHECKS[i](None)
-
     return _run(
-        "catalog-examples", range(len(_EXAMPLE_CHECKS)), check, {},
-        notes=["one commonly printed variant of the dihedral involution "
-               "(y mapped with a positive y exponent) fails the relator "
-               "check; the suite asserts its rejection"])
+        "catalog-examples", _EXAMPLE_CHECKS, lambda check: check(),
+        {"notes": ["one commonly printed variant of the dihedral involution "
+                   "(y mapped with a positive y exponent) fails the relator "
+                   "check; the suite asserts its rejection"]})
 
 
 # ---------------------------------------------------------------------------

@@ -485,9 +485,9 @@ def _restrict(mats, basis: list[IntVector]) -> list[IntMatrix]:
     """Matrices of the given actions on the sublattice spanned by basis
     (which each must preserve), from one Smith form P B Q = S of the basis
     matrix B: B is independent, so B x = b has at most one solution,
-    x = Q (P b / diag S)."""
+    x = Q (P b / d) for the diagonal d of S."""
     w = smith_rows([[vec[i] for vec in basis] for i in range(3)])
-    d0, d1 = w.s[0][0], w.s[1][1]
+    d0, d1 = w.d[0], w.d[1]
     out = []
     for m in mats:
         cols = []

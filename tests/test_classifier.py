@@ -98,6 +98,12 @@ def test_enumerate_small_boxes():
     assert enumerate_invariants(3) == []
 
 
+def test_enumerate_order_by_construction():
+    # the loops emit (|p|, sign, q) order, positive p first, unsorted
+    invs = enumerate_invariants(60)
+    assert invs == sorted(invs, key=lambda v: (abs(v.p), v.p < 0, v.q))
+
+
 def test_enumerate_matches_box_scan_oracle():
     for bound in (4, 9, 20, 33):
         mine = {(v.p, v.q, v.r) for v in enumerate_invariants(bound)}

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from solgeom import cli, verify
-from solgeom.catalog import g2_group
+from solgeom.catalog import default_catalog, g2_group
 from solgeom.verify import VerificationReport
 
 
@@ -287,6 +287,11 @@ def test_torsion_rejects_bound_below_one(capsys, bound):
             "action": {"s": [[-1]]}, "name": [1]}, "'name' must be a string"),
     ("h1", {"kind": "Trivial", "rank": 10 ** 9},
      "dimension 1000000000 outside supported range 0..8"),
+    ("w1", {"kind": "Zq", "rank": 2, "generators": ["s"],
+            "action": {"s": None}}, "action of 's' is null, but the rank is 2"),
+    ("torsion", {"kind": "Dinf", "rank": 0, "generators": ["u", "v"],
+                 "action": {"u": [[1]], "v": None}},
+     "rank-0 group takes no action matrices"),
 ])
 def test_malformed_description_is_one_error_document(capsys, tmp_path,
                                                      command, payload,
@@ -319,3 +324,37 @@ def test_verify_rejects_negative_bound(capsys, suite, flag, key):
 def test_verify_accepts_zero_box(capsys):
     code, out = run(capsys, "verify", "two-ended", "--box", "0")
     assert code == 0 and out["parameters"] == {"box": 0}
+
+
+# every value a fuzzed description field takes: each JSON type, and the
+# shapes of names, vectors and matrices with wrong entries
+_FUZZ_VALUES = (None, 0, 1, -1, 9, "x", [], [[1]], [[1, 0], [0, 1]], {},
+                True, 1.5, [1, 2], [None], [[None]])
+_DESCRIPTION_FIELDS = ("kind", "rank", "lattice", "generators", "action",
+                       "cocycles", "axisSigns", "name")
+
+
+def _fuzzed_descriptions():
+    """Each catalog group's description with one field, or one entry of
+    its action or cocycles, set to each fuzz value."""
+    for g in default_catalog().values():
+        d = g.to_description()
+        for value in _FUZZ_VALUES:
+            for key in _DESCRIPTION_FIELDS:
+                yield {**d, key: value}
+            for key in ("action", "cocycles"):
+                for name in d.get(key, {}):
+                    yield {**d, key: {**d[key], name: value}}
+
+
+def test_description_fuzz_is_one_document(capsys, tmp_path):
+    path = tmp_path / "fuzz.json"
+    runs = 0
+    for d in _fuzzed_descriptions():
+        path.write_text(json.dumps(d))
+        for command in ("h1", "center", "torsion", "w1"):
+            code = cli.main(["group", command, str(path)])
+            out = json.loads(capsys.readouterr().out)  # exactly one document
+            assert code in (0, 1) and "schema" in out, (command, d)
+            runs += 1
+    assert runs == 4980

@@ -578,6 +578,16 @@ def test_validation_rejections():
     # a rank past MAX_DIM is refused before anything of that size is built
     with pytest.raises(ValueError, match="dimension 1000000000 outside"):
         from_description({"kind": "Trivial", "rank": 10 ** 9})
+    # null stands for the 0x0 matrix only
+    with pytest.raises(ValueError, match="'u' is null, but the rank is 1"):
+        ExtensionGroup("C2", 1, generators=("u",), action={"u": None})
+    for field in ("kind", "rank"):
+        d = {"kind": "Zq", "rank": 1, "generators": ["s"],
+             "action": {"s": [[1]]}}
+        del d[field]
+        with pytest.raises(ValueError,
+                           match=f"description missing field '{field}'"):
+            from_description(d)
 
 
 def _columns_by_counting(g):

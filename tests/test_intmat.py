@@ -226,18 +226,19 @@ def test_identity_dimension_guard():
 
 def smith_diagonal(rows):
     """The Smith diagonal of M, given as rows, after checking what
-    smith_rows promises: P*M*Q = S with P and Q unimodular, S diagonal and
-    nonnegative, each diagonal entry dividing the next."""
+    smith_rows promises: P*M*Q = diag(d) padded to the shape of M, with P
+    and Q unimodular, one entry of d per row of M and 0 past the last
+    column, d nonnegative, each entry dividing the next."""
     rows = [list(r) for r in rows]
     nr, nc = len(rows), len(rows[0])
     w = smith_rows(rows)
     q = [list(col) for col in zip(*w.qt)]
-    assert oracles.mat_mul(oracles.mat_mul(w.p, rows), q) == w.s
+    s = [[w.d[i] if i == j else 0 for j in range(nc)] for i in range(nr)]
+    assert oracles.mat_mul(oracles.mat_mul(w.p, rows), q) == s
     assert oracles.det_exact(w.p) in (1, -1)
     assert oracles.det_exact(q) in (1, -1)
-    assert all(w.s[i][j] == 0 for i in range(nr) for j in range(nc)
-               if i != j)
-    diag = [w.s[i][i] for i in range(min(nr, nc))]
+    assert len(w.d) == nr and not any(w.d[nc:])
+    diag = w.d[:nc]
     for i, d in enumerate(diag):
         assert d >= 0
         if i + 1 < len(diag):
@@ -437,6 +438,11 @@ def test_rectangular_rows():
     assert solve_integer(tall, (1, 3)) is None
     assert kernel_basis(tall) == []
     assert cokernel_invariants(tall) == (1, ())
+    # ... or have no columns at all
+    empty = [[], []]
+    assert cokernel_invariants(empty) == (2, ())
+    assert solve_integer(empty, (0, 0)) == ()
+    assert solve_integer(empty, (1, 0)) is None
 
 
 def test_cokernel_matches_minor_oracle():
