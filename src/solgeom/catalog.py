@@ -3,15 +3,17 @@
 Two registries: SOL4_NAMES lists the catalog's four-dimensional solvable
 geometry groups, OTHER_NAMES the comparison groups (flat, three-dimensional,
 or bare quotient).  Parameterized entries default to the matrix
-[[3,2],[4,3]] family.
+[[3,2],[4,3]] family; a pillowcase(p,q,r) entry is the group that
+classifier.group_from_invariant attaches to the invariant (p, q, r).
 """
 
 from __future__ import annotations
 
 import json
 
+from .classifier import PillowcaseInvariant, group_from_invariant
 from .extensions import ExtensionGroup, from_description
-from .intmat import IntMatrix, primitive_vector
+from .intmat import IntMatrix
 
 SOL4_NAMES = ("pillowcase", "kb-monodromy", "bordered", "B1-sd-theta")
 OTHER_NAMES = ("Dinf", "G2", "B1", "sigma")
@@ -123,36 +125,9 @@ def bordered_group(xi=DEFAULT_XI, psi=DEFAULT_PSI) -> ExtensionGroup:
     )
 
 
-def pillowcase_group(p: int, q: int, r: int) -> ExtensionGroup:
-    """The dihedral extension of Z^3 attached to the triple (p, q, r).
-
-    u acts by blockdiag(A, -1) with A = [[p,q],[-r,-p]], v by
-    diag(1,-1,-1); u-hat^2 spans the +1-eigenlattice of the u-action and
-    v-hat^2 = x.  The triple's rules live with the invariant type; as A^2 =
-    (p^2 - qr) I, ExtensionGroup itself refuses p^2 - qr != 1.
-    """
-    # A has trace 0 and det -1, so A != I and det(A - I) = 0: rank 1, and
-    # the fixed lattice is the line spanned by (b, -a) for the first nonzero
-    # row (a, b) of A - I
-    a, b = (p - 1, q) if (p, q) != (1, 0) else (-r, -p - 1)
-    e, f = primitive_vector((b, -a))
-    return ExtensionGroup(
-        "Dinf", 3,
-        lattice_names=("x", "y", "z"),
-        generators=("u", "v"),
-        action={
-            "u": [[p, q, 0], [-r, -p, 0], [0, 0, -1]],
-            "v": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
-        },
-        cocycles={"u": (e, f, 0), "v": (1, 0, 0)},
-        axis_signs={"u": -1, "v": -1},
-        name=f"pillowcase({p},{q},{r})",
-    )
-
-
 # the builder of each catalog name's representative, default parameters
 _BUILDERS = {
-    "pillowcase": lambda: pillowcase_group(3, 2, 4),
+    "pillowcase": lambda: group_from_invariant(PillowcaseInvariant(3, 2, 4)),
     "kb-monodromy": kb_monodromy_group,
     "bordered": bordered_group,
     "B1-sd-theta": b1_sd_theta_group,
@@ -211,8 +186,7 @@ def parse_group_spec(text: str) -> ExtensionGroup:
         if len(parts) != 3:
             raise ValueError("pillowcase takes a (p,q,r) triple")
         p, q, r = (int(x) for x in parts)
-        # route through the invariant type so triple semantics are enforced
-        from .classifier import PillowcaseInvariant, group_from_invariant
+        # the invariant type enforces the triple's rules
         return group_from_invariant(PillowcaseInvariant(p, q, r))
     if head == "kb-monodromy":
         return kb_monodromy_group(IntMatrix.parse(body))

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import catalog
-from .extensions import ExtensionGroup, FpPresentation
+from .extensions import ExtensionGroup
 from .intmat import IntMatrix, IntVector, primitive_vector
 
 
@@ -100,22 +99,34 @@ def enumerate_invariants(max_entry: int) -> list[PillowcaseInvariant]:
 
 
 def group_from_invariant(inv: PillowcaseInvariant) -> ExtensionGroup:
-    """The extension group attached to an invariant; it is torsion-free.
+    """The dihedral extension of Z^3 attached to an invariant; it is
+    torsion-free.
+
+    u acts by blockdiag(A, -1) with A = [[p,q],[-r,-p]], v by
+    diag(1,-1,-1); u-hat^2 spans the +1-eigenlattice of the u-action and
+    v-hat^2 = x.  A has trace 0 and det -1, so A - I has rank 1, and as
+    q > 0 its first row (p - 1, q) is nonzero: the fixed line is spanned
+    by (q, 1 - p).
 
     A torsion element exists exactly when -s_g is in Im(I + A_g) for g = u
     or v (ExtensionGroup.find_torsion).  As p is odd and q, r are even,
     I + A_u is 0 mod 2, while s_u is primitive, so not 0 mod 2; and
     Im(I + A_v) = 2Z x 0 x 0 misses -s_v = (-1, 0, 0).
     """
-    return catalog.pillowcase_group(inv.p, inv.q, inv.r)
-
-
-def presentation_from_invariant(
-        inv: PillowcaseInvariant) -> tuple[FpPresentation, ExtensionGroup]:
-    """The explicit presentation and extension group attached to an
-    invariant."""
-    group = group_from_invariant(inv)
-    return group.presentation(), group
+    p, q, r = inv.p, inv.q, inv.r
+    e, f = primitive_vector((q, 1 - p))
+    return ExtensionGroup(
+        "Dinf", 3,
+        lattice_names=("x", "y", "z"),
+        generators=("u", "v"),
+        action={
+            "u": [[p, q, 0], [-r, -p, 0], [0, 0, -1]],
+            "v": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        },
+        cocycles={"u": (e, f, 0), "v": (1, 0, 0)},
+        axis_signs={"u": -1, "v": -1},
+        name=f"pillowcase({p},{q},{r})",
+    )
 
 
 def from_extension(u: IntMatrix, v: IntMatrix, s_u: IntVector,

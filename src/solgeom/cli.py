@@ -30,11 +30,16 @@ _MATRIX_LITERAL = re.compile(r"-?\d+(\s*[,;]\s*-?\d+)+")
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors print an error document and exit 1; argparse's
-    default exit code 2 is reserved for suite failures."""
+    default exit code 2 is reserved for suite failures.  --help prints
+    the usage text as one help document and exits 0."""
 
     def error(self, message):
         print(json.dumps({"schema": "solgeom/error-v1", "error": message}))
         raise SystemExit(1)
+
+    def print_help(self, file=None):
+        print(json.dumps({"schema": "solgeom/help-v1",
+                          "usage": self.format_help()}), file=file)
 
     def _parse_optional(self, arg_string):
         if _MATRIX_LITERAL.fullmatch(arg_string):

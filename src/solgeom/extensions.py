@@ -827,16 +827,6 @@ class ExtensionGroup:
             return None
         return self.element(sol, base.q)
 
-    # -- I(G) ---------------------------------------------------------------
-
-    def i_lattice(self) -> list[IntVector]:
-        """Basis of the lattice vectors whose images in H1 are torsion."""
-        h1 = self._h1_data
-        rows = [row[:self.rank] for row, d in zip(h1.p, h1.d) if d == 0]
-        if not rows:
-            return [e.t for e in self.lattice_basis_elements()]
-        return kernel_basis(rows)
-
     # -- serialization ------------------------------------------------------
 
     def to_description(self) -> dict:

@@ -10,8 +10,7 @@ det = -1 involution classes) is separated by reduction mod 2.
 Conjugacy and centralizer searches share one box scan, exhaustive over the
 lattice of solutions of C m = n C at cost O((2B+1)^rank) for box bound B;
 a conjugacy search that finds nothing certifies only that no conjugator
-lies in the box.  Two-ended subgroup typing and monodromy image typing are
-exact.
+lies in the box.  Two-ended subgroup typing is exact.
 """
 
 from __future__ import annotations
@@ -37,10 +36,6 @@ class FiniteOrderClass(enum.Enum):
     def representative(self) -> IntMatrix:
         return _REPRESENTATIVES[self]
 
-    @property
-    def order(self) -> int:
-        return _CLASS_ORDERS[self]
-
 
 _REPRESENTATIVES = {
     FiniteOrderClass.IDENTITY: IntMatrix([[1, 0], [0, 1]]),
@@ -50,16 +45,6 @@ _REPRESENTATIVES = {
     FiniteOrderClass.ORDER3: IntMatrix([[0, 1], [-1, -1]]),
     FiniteOrderClass.ORDER4: IntMatrix([[0, 1], [-1, 0]]),
     FiniteOrderClass.ORDER6: IntMatrix([[0, 1], [-1, 1]]),
-}
-
-_CLASS_ORDERS = {
-    FiniteOrderClass.IDENTITY: 1,
-    FiniteOrderClass.MINUS_IDENTITY: 2,
-    FiniteOrderClass.REFLECTION: 2,
-    FiniteOrderClass.SWAP: 2,
-    FiniteOrderClass.ORDER3: 3,
-    FiniteOrderClass.ORDER4: 4,
-    FiniteOrderClass.ORDER6: 6,
 }
 
 # The five non-central classes, in the order their representatives are
@@ -269,58 +254,3 @@ def two_ended_type(generators: list[IntMatrix]) -> TwoEndedType:
         return TwoEndedType(4, (a, b), True)
     return TwoEndedType(3, (a, b), False)
 
-
-class MonodromyType(enum.Enum):
-    DIHEDRAL_INFINITE = "DihedralInfinite"
-    OTHER = "Other"
-
-
-def monodromy_image_type(images: list[IntMatrix]) -> MonodromyType:
-    """Decide whether order-2 generator images generate an infinite dihedral
-    group of diag(1,-1)-type reflections.
-
-    Requires every non-identity image to be in the Reflection class, the
-    group to be infinite (some product of two images is hyperbolic), the
-    translations r_1 r_i to commute pairwise, and -I not to be in the group.
-
-    The last test is exact.  The group is T x| <r_1> with T = <r_1 r_i>, and
-    only T has det-1 elements, so -I is in the group iff it is in T.  T is
-    abelian and holds a hyperbolic product r_i r_j, so it lies in the
-    centralizer +-<h0> of one, where |trace(+-h0^k)| grows with |k|.  The
-    translations are folded in one at a time by Euclid's algorithm on these
-    exponents: of a pair, the generator of larger |trace| is replaced by
-    a b or a b^-1, whichever has the smaller |trace|, until one is +-I.
-    These moves keep the group, and a cyclic group with a hyperbolic
-    generator does not hold -I, so -I is in T iff a reduction ends at -I.
-    """
-    distinct = []
-    for m in images:
-        if m == _ID:
-            continue
-        # element_order rejects a matrix outside GL(2,Z)
-        if element_order(m) is None or \
-                finite_order_class(m) is not FiniteOrderClass.REFLECTION:
-            return MonodromyType.OTHER
-        if m not in distinct:
-            distinct.append(m)
-    if not distinct:
-        return MonodromyType.OTHER  # trivial image group
-    if not any(abs((x * y).trace()) > 2
-               for x in distinct for y in distinct):
-        return MonodromyType.OTHER
-    # in D-infinity the translations r_1 r_i all commute; two that do not
-    # (such as the Sanov parabolics) generate a free group
-    trans = [distinct[0] * r for r in distinct[1:]]
-    if any(x * y != y * x for i, x in enumerate(trans) for y in trans[i + 1:]):
-        return MonodromyType.OTHER
-    g = _ID  # the translations folded so far generate <g>
-    for b in trans:
-        a = g
-        while a not in (_ID, _MINUS_ID) and b not in (_ID, _MINUS_ID):
-            if abs(a.trace()) < abs(b.trace()):
-                a, b = b, a
-            a = min(a * b, a * b.inverse(), key=lambda m: abs(m.trace()))
-        if _MINUS_ID in (a, b):
-            return MonodromyType.OTHER
-        g = b if a == _ID else a
-    return MonodromyType.DIHEDRAL_INFINITE

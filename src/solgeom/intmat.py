@@ -4,10 +4,10 @@ Everything here is done with Python's arbitrary-precision ints; no floats
 anywhere.  IntMatrix is square (dimension 0..8, working sizes 2 and 3) and
 immutable; the constructor takes sizes 1..8, and identity(0) is the 0x0
 matrix, the action on a rank-0 lattice.  There are two reductions: Smith
-normal form with its two unimodular transforms P and Q gives solving,
-cokernels and the inverses of sizes other than 2 and 3, and the Hermite
-normal form gives spans, kernels and saturations.  All of these take an
-IntMatrix or any rectangular list of integer rows.
+normal form with its two unimodular transforms P and Q gives solving, the
+Smith diagonal that H1 is read from and the inverses of sizes other than 2
+and 3, and the Hermite normal form gives spans and kernels.  Both take
+an IntMatrix or any rectangular list of integer rows.
 
 Vectors are plain tuples of ints.
 """
@@ -61,20 +61,6 @@ def primitive_vector(u: IntVector) -> IntVector:
     return w
 
 
-def parse_vector(text: str) -> IntVector:
-    """Parse a literal like "1,0" or "(1,0)"."""
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    parts = [p.strip() for p in body.split(",")]
-    if not parts or any(p == "" for p in parts):
-        raise ValueError(f"bad vector literal: {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"bad vector literal: {text!r}") from None
-
-
 class IntMatrix:
     """Immutable square integer matrix.
 
@@ -109,10 +95,6 @@ class IntMatrix:
         except KeyError:
             raise ValueError(f"dimension {n} outside supported range "
                              f"0..{MAX_DIM}") from None
-
-    @classmethod
-    def zero(cls, n: int) -> "IntMatrix":
-        return cls([[0] * n for _ in range(n)])
 
     @classmethod
     def diagonal(cls, entries) -> "IntMatrix":
@@ -237,9 +219,6 @@ class IntMatrix:
     def is_identity(self) -> bool:
         return self == IntMatrix.identity(self.n)
 
-    def transpose(self) -> "IntMatrix":
-        return _trusted(tuple(zip(*self.rows)), self.n)
-
     def inverse(self) -> "IntMatrix":
         """Exact inverse; defined only when det = +-1."""
         d = self.det()
@@ -265,9 +244,6 @@ class IntMatrix:
 
     def column(self, j: int) -> IntVector:
         return tuple(self.rows[i][j] for i in range(self.n))
-
-    def columns(self) -> list[IntVector]:
-        return [self.column(j) for j in range(self.n)]
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n))
@@ -342,9 +318,8 @@ def _det_rows(rows: list[list[int]]) -> int:
 # The reduction works on rectangular lists of rows, so stacked systems and
 # relator matrices use it directly.  Row operations are mirrored into P and
 # column operations into Q, so P*M*Q = S holds exactly.  Q is kept
-# transposed, so a column operation is a row operation on it.  Kernels and
-# saturations need no Smith form; they are read off the Hermite form
-# (lattice_basis).
+# transposed, so a column operation is a row operation on it.  Kernels
+# need no Smith form; they are read off the Hermite form (lattice_basis).
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a,b) >= 0 and x*a + y*b = g."""
@@ -537,10 +512,6 @@ def solve_integer(m, b: IntVector) -> IntVector | None:
     return tuple(sum(x * z for x, z in zip(col, y)) for col in zip(*w.qt))
 
 
-def in_image(m, b: IntVector) -> bool:
-    return solve_integer(m, b) is not None
-
-
 def kernel_basis(m) -> list[IntVector]:
     """Basis of the integer kernel of M (an IntMatrix or rectangular rows).
 
@@ -560,34 +531,3 @@ def kernel_basis(m) -> list[IntVector]:
     graph = [list(col) + e for col, e in zip(zip(*rows), _identity_rows(nc))]
     return [row[nr:] for row in lattice_basis(graph) if not any(row[:nr])]
 
-
-def saturation(vectors: list[IntVector]) -> list[IntVector]:
-    """Basis of the smallest direct summand of Z^n containing the span.
-
-    Accepts any number of spanning vectors (possibly dependent).  Returns
-    sign-normalized primitive basis vectors; [] for the zero span.
-    """
-    vectors = [tuple(v) for v in vectors]
-    if not vectors:
-        return []
-    n = len(vectors[0])
-    for v in vectors:
-        if len(v) != n:
-            raise ValueError("mixed dimensions")
-    # the kernel of the kernel: x is in the saturation iff x is orthogonal
-    # to every y that is orthogonal to all the vectors
-    perp = kernel_basis(vectors)
-    if not perp:
-        return [tuple(r) for r in _identity_rows(n)]
-    return kernel_basis(perp)
-
-
-def cokernel_invariants(m) -> tuple[int, tuple[int, ...]]:
-    """Free rank and torsion coefficients of Z^r / im(M), for M an IntMatrix
-    or a rectangular list of r integer rows.
-
-    Torsion coefficients are the diagonal entries > 1, listed in divisibility
-    order.
-    """
-    d = smith_rows(_rows(m)).d
-    return d.count(0), tuple(x for x in d if x > 1)

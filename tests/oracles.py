@@ -29,7 +29,6 @@ from solgeom.intmat import (
     _xgcd,
     kernel_basis,
     lattice_basis,
-    saturation,
     smith_rows,
 )
 
@@ -185,13 +184,37 @@ def minor_gcd(rows, k):
     g = 0
     for ri in itertools.combinations(range(len(rows)), k):
         for ci in itertools.combinations(range(len(rows[0])), k):
-            g = gcd(g, abs(_det([[rows[i][j] for j in ci] for i in ri])))
+            g = gcd(g, abs(bareiss_det([[rows[i][j] for j in ci]
+                                        for i in ri])))
             if g == 1:
                 return 1  # no further minor can lower it
     return g
 
 
+def bareiss_det(rows):
+    """Determinant of a nonempty square matrix by fraction-free (Bareiss)
+    elimination: each step's division by the previous pivot is exact, so
+    the arithmetic stays in the integers, at O(n^3) cost."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def _det(rows):
+    """Determinant by cofactor expansion along the first row; the
+    cross-check on bareiss_det."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -418,10 +441,10 @@ def w1_lifts_to_z4(rows, chars):
 # pillowcase invariant recovery through generic kernels and saturations
 #
 # The one oracle here built on the library: classifier.from_extension as it
-# was before its closed-form rewrite, kept as it was.  It reaches the
-# invariant through intmat's Hermite-form kernels, saturation and a Smith-form
-# restriction, none of which the closed form calls, so the two agree only
-# if the closed form is right.
+# was before its closed-form rewrite.  It reaches the invariant through
+# intmat's Hermite-form kernels (a saturation is the kernel of a kernel)
+# and a Smith-form restriction, neither of which the closed form calls, so
+# the two agree only if the closed form is right.
 
 
 def from_extension_by_kernels(u: IntMatrix, v: IntMatrix, s_u: IntVector,
@@ -456,7 +479,9 @@ def from_extension_by_kernels(u: IntMatrix, v: IntMatrix, s_u: IntVector,
                              "fixed lattice has rank "
                              f"{len(fixed)}, not 1")
     c = fixed[0]
-    n_basis = saturation((w - ident).columns())
+    # the saturation of the image of W - I, of rank 2: the kernel of the
+    # kernel of its columns
+    n_basis = kernel_basis(kernel_basis(list(zip(*(w - ident).rows))))
     if len(n_basis) != 2:
         raise InvariantError("the moved sublattice does not have rank 2")
     if IntMatrix.from_columns([n_basis[0], n_basis[1], c]).det() == 0:

@@ -23,8 +23,8 @@ from solgeom.classifier import (
     enumerate_invariants,
     from_extension,
     homology_report,
+    group_from_invariant,
     normalize,
-    presentation_from_invariant,
 )
 from solgeom.extensions import (
     from_description,
@@ -170,7 +170,7 @@ def test_criterion_4(capsys):
     failures = []
     rounds = 0
     for inv in enumerate_invariants(20):
-        _, g = presentation_from_invariant(inv)
+        g = group_from_invariant(inv)
         u0, v0 = g.action["u"], g.action["v"]
         su0, sv0 = g.square_cocycle["u"], g.square_cocycle["v"]
         for b in [IntMatrix.identity(3)] + bases:
@@ -203,7 +203,7 @@ def test_criterion_5(capsys):
     assert all(r["w1_factors_through_z4"] for r in reports.values())
     base = reports[(3, 2, 4)]["h1"]
     assert (base["rank"], tuple(base["torsion"])) == (0, (2, 4, 4))
-    _, g324 = presentation_from_invariant(
+    g324 = group_from_invariant(
         [i for i in invs if (i.p, i.q, i.r) == (3, 2, 4)][0])
     free, torsion = oracles.cokernel_by_minors(g324._relator_matrix_rows()[1])
     assert (free, list(torsion)) == (0, [2, 4, 4])
@@ -255,7 +255,7 @@ def test_criterion_6(capsys):
     # a witness
     failures = []
     for inv in enumerate_invariants(20):
-        g = catalog.pillowcase_group(inv.p, inv.q, inv.r)
+        g = group_from_invariant(inv)
         if g.find_torsion() is not None:
             failures.append(((inv.p, inv.q, inv.r), "unexpected torsion"))
         for name in ("u", "v"):

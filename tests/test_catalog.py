@@ -5,7 +5,11 @@ import json
 import pytest
 
 from solgeom import catalog
-from solgeom.classifier import enumerate_invariants
+from solgeom.classifier import (
+    PillowcaseInvariant,
+    enumerate_invariants,
+    group_from_invariant,
+)
 from solgeom.extensions import ExtensionGroup, QuotientKind
 from solgeom.intmat import IntMatrix, kernel_basis
 
@@ -19,7 +23,7 @@ def test_registry_names():
 
 
 def test_constructors_build_with_expected_shape():
-    g = catalog.pillowcase_group(3, 2, 4)
+    g = group_from_invariant(PillowcaseInvariant(3, 2, 4))
     assert g.kind is QuotientKind.DINF and g.rank == 3
     assert g.square_cocycle["u"] == (1, -1, 0)
     assert g.square_cocycle["v"] == (1, 0, 0)
@@ -39,22 +43,19 @@ def test_constructors_build_with_expected_shape():
 
 def test_pillowcase_cocycle_matches_kernel_basis():
     # the closed-form u-cocycle spans the kernel of A - I, as kernel_basis
-    # finds it: every invariant with entries <= 300 and its negated (q, r),
-    # and p = +-1 with q = 0
-    triples = [(i.p, i.q, i.r) for i in enumerate_invariants(300)]
-    triples += [(p, -q, -r) for p, q, r in triples]
-    triples += [(p, 0, r) for p in (1, -1) for r in range(-12, 13)]
-    assert len(triples) == 3466
-    for p, q, r in triples:
-        a = IntMatrix([[p, q], [-r, -p]])
+    # finds it: every invariant with entries <= 300
+    invariants = enumerate_invariants(300)
+    assert len(invariants) == 1708
+    for inv in invariants:
+        a = IntMatrix([[inv.p, inv.q], [-inv.r, -inv.p]])
         (e, f), = kernel_basis(a - IntMatrix.identity(2))
-        u = catalog.pillowcase_group(p, q, r).square_cocycle["u"]
-        assert u == (e, f, 0), (p, q, r)
+        u = group_from_invariant(inv).square_cocycle["u"]
+        assert u == (e, f, 0), inv
 
 
 def test_pillowcase_rejects_wrong_determinant():
     with pytest.raises(ValueError):
-        catalog.pillowcase_group(3, 2, 2)
+        group_from_invariant(PillowcaseInvariant(3, 2, 2))
 
 
 def test_parse_bare_names():
@@ -104,7 +105,8 @@ def test_sol4_registry_betti_numbers():
 
 def test_bare_names_resolve_to_their_builders():
     builders = {
-        "pillowcase": lambda: catalog.pillowcase_group(3, 2, 4),
+        "pillowcase":
+            lambda: group_from_invariant(PillowcaseInvariant(3, 2, 4)),
         "kb-monodromy": catalog.kb_monodromy_group,
         "bordered": catalog.bordered_group,
         "B1-sd-theta": catalog.b1_sd_theta_group,

@@ -20,7 +20,6 @@ from solgeom.classifier import (
     homology_report,
     isomorphic,
     normalize,
-    presentation_from_invariant,
     validate,
 )
 from solgeom.extensions import (
@@ -298,7 +297,7 @@ def test_from_extension_matches_kernel_oracle():
               (U0, V0, (1, 0, 0), SV0)]
     wanted = {}
     for inv in enumerate_invariants(20):
-        _, g = presentation_from_invariant(inv)
+        g = group_from_invariant(inv)
         u, v = g.action["u"], g.action["v"]
         su, sv = g.square_cocycle["u"], g.square_cocycle["v"]
         for _ in range(4):
@@ -352,7 +351,8 @@ def test_from_extension_certificate():
     rng = random.Random(16)
     ident = IntMatrix.identity(3)
     for inv in enumerate_invariants(20):
-        pres, h = presentation_from_invariant(inv)
+        h = group_from_invariant(inv)
+        pres = h.presentation()
         hu, hv = h.action["u"], h.action["v"]
         for _ in range(4):
             b = rand_unimodular(rng)
@@ -362,7 +362,7 @@ def test_from_extension_certificate():
                 b.apply(h.square_cocycle["v"])
             assert from_extension(u, v, su, sv) == inv
             (c,) = intmat.kernel_basis(u * v - ident)
-            (n,) = intmat.kernel_basis((u * v - ident).transpose())
+            (n,) = intmat.kernel_basis(list(zip(*(u * v - ident).rows)))
             (e_plus,) = intmat.kernel_basis(v - ident)
             (e_minus,) = intmat.kernel_basis([n, *(v + ident).rows])
             bases = [IntMatrix.from_columns([e_plus, e_minus, c]),
@@ -371,7 +371,7 @@ def test_from_extension_certificate():
                   if m * hu == u * m and m * hv == v * m]
             g = _input_group(u, v, su, sv)
             images = {name: g.element(col)
-                      for name, col in zip("xyz", p.columns())}
+                      for name, col in zip("xyz", zip(*p.rows))}
             for name, a, s in (("u", u, su), ("v", v, sv)):
                 t = intmat.solve_integer(
                     ident + a, vec_sub(p.apply(h.square_cocycle[name]), s))
@@ -382,12 +382,11 @@ def test_from_extension_certificate():
 
 def test_torsion_free_recovery_takes_no_smith_form_or_kernel(monkeypatch):
     # count every reference to the Smith form and the Hermite form that
-    # any solgeom module holds; kernel_basis and saturation both reduce
-    # through lattice_basis
+    # any solgeom module holds; kernel_basis reduces through lattice_basis
     rng = random.Random(5)
     data = []
     for inv in enumerate_invariants(8):
-        _, g = presentation_from_invariant(inv)
+        g = group_from_invariant(inv)
         b = rand_unimodular(rng)
         binv = b.inverse()
         data.append((b * g.action["u"] * binv, b * g.action["v"] * binv,
@@ -401,8 +400,7 @@ def test_torsion_free_recovery_takes_no_smith_form_or_kernel(monkeypatch):
             return f(*args, **kwargs)
         return wrapper
 
-    targets = (intmat.smith_rows, intmat.lattice_basis, intmat.kernel_basis,
-               intmat.saturation)
+    targets = (intmat.smith_rows, intmat.lattice_basis, intmat.kernel_basis)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "solgeom":
             for f in targets:
@@ -417,7 +415,8 @@ def test_torsion_free_recovery_takes_no_smith_form_or_kernel(monkeypatch):
 
 
 def test_presentation_from_invariant():
-    pres, group = presentation_from_invariant(PillowcaseInvariant(3, 2, 4))
+    group = group_from_invariant(PillowcaseInvariant(3, 2, 4))
+    pres = group.presentation()
     assert pres.generators == ("x", "y", "z", "u", "v")
     assert [render_word(r) for r in pres.relators] == [
         "x y x^-1 y^-1", "x z x^-1 z^-1", "y z y^-1 z^-1",
@@ -425,7 +424,7 @@ def test_presentation_from_invariant():
         "v x v^-1 x^-1", "v y v^-1 y", "v z v^-1 z",
         "u u y x^-1", "v v x^-1"]
     assert group.square_cocycle["u"] == (1, -1, 0)
-    _, g2 = presentation_from_invariant(PillowcaseInvariant(5, 4, 6))
+    g2 = group_from_invariant(PillowcaseInvariant(5, 4, 6))
     assert g2.square_cocycle["u"] == (1, -1, 0)
     for rel in pres.relators:
         assert group.evaluate_word(rel) == group.identity()
@@ -452,7 +451,7 @@ def test_homology_report_values():
 
 def test_homology_against_minor_gcd_oracle():
     for inv in enumerate_invariants(8):
-        _, group = presentation_from_invariant(inv)
+        group = group_from_invariant(inv)
         _, rows = group._relator_matrix_rows()
         assert group.abelianization() == oracles.cokernel_by_minors(rows)
 

@@ -2,6 +2,7 @@
 outputs, and the exit code contract (0 ok, 1 input error, 2 suite
 failure)."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -240,6 +241,31 @@ def test_unknown_option_is_still_an_error(capsys):
     assert exc.value.code == 1
     out = json.loads(capsys.readouterr().out)
     assert out["schema"] == "solgeom/error-v1"
+
+
+def _command_paths(parser, path=()):
+    """The top level and every subcommand, as argv prefixes."""
+    yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _command_paths(sub, path + (name,))
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_is_one_document(capsys, flag):
+    paths = list(_command_paths(cli._parser()))
+    assert len(paths) == 12
+    for path in paths:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*path, flag])
+        assert exc.value.code == 0, path
+        text = capsys.readouterr().out
+        out = json.loads(text)  # exactly one document
+        assert text.count("\n") == 1, path
+        assert out["schema"] == "solgeom/help-v1"
+        assert out["usage"].startswith(
+            " ".join(("usage: solgeom",) + path)), path
 
 
 def test_parser_is_built_once():

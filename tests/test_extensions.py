@@ -9,7 +9,11 @@ import pytest
 
 import oracles
 from solgeom import catalog, extensions
-from solgeom.classifier import enumerate_invariants
+from solgeom.classifier import (
+    PillowcaseInvariant,
+    enumerate_invariants,
+    group_from_invariant,
+)
 from solgeom.extensions import (
     ExtensionGroup,
     GroupElement,
@@ -21,7 +25,7 @@ from solgeom.extensions import (
     render_word,
     verify_homomorphism,
 )
-from solgeom.intmat import IntMatrix, lattice_basis
+from solgeom.intmat import IntMatrix
 
 
 def sample_groups():
@@ -31,7 +35,7 @@ def sample_groups():
         catalog.b1_group(),
         catalog.kb_monodromy_group(),
         catalog.b1_sd_theta_group(),
-        catalog.pillowcase_group(3, 2, 4),
+        group_from_invariant(PillowcaseInvariant(3, 2, 4)),
         catalog.sigma_group(),
         ExtensionGroup("C2", 2, generators=("g",),
                        action={"g": [[0, 1], [1, 0]]}, cocycles={"g": (1, 1)},
@@ -92,7 +96,7 @@ def test_element_to_word_round_trip():
 
 
 def test_pillowcase_normal_forms():
-    g = catalog.pillowcase_group(3, 2, 4)
+    g = group_from_invariant(PillowcaseInvariant(3, 2, 4))
     # squares of the involution lifts land in the lattice
     assert g.evaluate_word("u u") == g.element((1, -1, 0))
     assert g.evaluate_word("v v") == g.element((1, 0, 0))
@@ -147,7 +151,6 @@ def test_rank_zero_groups_of_every_kind():
                 g.generator_characters(), g.w1_factors_through_z4()) \
             == expect, kind
         assert all(z.t == () for z in center.generators)
-        assert g.i_lattice() == []
         d = {"kind": kind, "rank": 0, "lattice": [], "generators": list(gens),
              "action": {x: None for x in gens}, "axisSigns": signs}
         assert g.to_description() == d
@@ -168,7 +171,7 @@ def test_group_element_repr():
 def test_is_torsion_matches_brute_force():
     # a has finite order iff a^k = 1 for some 1 <= k <= 12, on random
     # elements and on elements of the generator cosets, of every kind
-    zeroed = catalog.pillowcase_group(3, 2, 4)
+    zeroed = group_from_invariant(PillowcaseInvariant(3, 2, 4))
     zeroed = ExtensionGroup("Dinf", 3, generators=("u", "v"),
                             action=dict(zeroed.action),
                             cocycles={"u": (1, -1, 0)})
@@ -203,7 +206,7 @@ def test_is_torsion_matches_brute_force():
 
 
 def test_torsion_search_agrees_with_direct_check():
-    g = catalog.pillowcase_group(3, 2, 4)
+    g = group_from_invariant(PillowcaseInvariant(3, 2, 4))
     assert g.find_torsion() is None
     # no torsion among short odd coset words with small lattice offsets
     words = [("u",), ("v",), ("u", "v", "u"), ("v", "u", "v"),
@@ -215,7 +218,7 @@ def test_torsion_search_agrees_with_direct_check():
 
 
 def test_zeroed_cocycle_introduces_torsion():
-    base = catalog.pillowcase_group(3, 2, 4)
+    base = group_from_invariant(PillowcaseInvariant(3, 2, 4))
     for name in ("u", "v"):
         cocycles = dict(base.square_cocycle)
         cocycles[name] = (0, 0, 0)
@@ -235,7 +238,8 @@ def test_abelianization_frozen_values():
     assert catalog.g2_group().abelianization() == (1, (2, 2))
     assert catalog.dinf_group().abelianization() == (0, (2, 2))
     assert catalog.b1_group().abelianization() == (2, (2,))
-    assert catalog.pillowcase_group(3, 2, 4).abelianization() == (0, (2, 4, 4))
+    assert group_from_invariant(PillowcaseInvariant(3, 2, 4)) \
+        .abelianization() == (0, (2, 4, 4))
 
 
 def test_abelianization_against_minor_gcd_oracle():
@@ -246,14 +250,15 @@ def test_abelianization_against_minor_gcd_oracle():
 
 
 def test_pillowcase_generator_orders_in_h1():
-    g = catalog.pillowcase_group(3, 2, 4)
+    g = group_from_invariant(PillowcaseInvariant(3, 2, 4))
     assert g.h1_generator_orders() == {
         "x": 2, "y": 2, "z": 2, "u": 4, "v": 4}
 
 
 def test_orientation_character_is_homomorphism():
     rng = random.Random(99)
-    for g in [catalog.pillowcase_group(3, 2, 4), catalog.kb_monodromy_group(),
+    for g in [group_from_invariant(PillowcaseInvariant(3, 2, 4)),
+              catalog.kb_monodromy_group(),
               catalog.sigma_group(), catalog.b1_group()]:
         for _ in range(20):
             a = random_element(g, rng)
@@ -265,7 +270,7 @@ def test_orientation_character_is_homomorphism():
 
 
 def test_pillowcase_orientation_values():
-    g = catalog.pillowcase_group(3, 2, 4)
+    g = group_from_invariant(PillowcaseInvariant(3, 2, 4))
     chars = g.generator_characters()
     assert chars == {"x": 0, "y": 0, "z": 0, "u": 1, "v": 1}
     assert g.w1_factors_through_z4() is True
@@ -273,7 +278,8 @@ def test_pillowcase_orientation_values():
 
 def test_generator_characters_match_generator_elements():
     groups = list(catalog.default_catalog().values()) + [
-        catalog.pillowcase_group(-3, 2, 4), catalog.g2_group(-1),
+        group_from_invariant(PillowcaseInvariant(-3, 2, 4)),
+        catalog.g2_group(-1),
         ExtensionGroup("C2", 0, generators=("g",), action={"g": None},
                        axis_signs={"g": -1}),
         ExtensionGroup("Trivial", 2)]
@@ -324,7 +330,7 @@ def test_w1_matches_lift_search_on_pillowcase_and_catalog():
     invs = enumerate_invariants(60)
     assert len(invs) == 236
     for inv in invs:
-        g = catalog.pillowcase_group(inv.p, inv.q, inv.r)
+        g = group_from_invariant(inv)
         assert g.w1_factors_through_z4() is _w1_by_search(g)
     signed = 0
     for name, g in catalog.default_catalog().items():
@@ -432,7 +438,7 @@ def test_order_exponent_table():
 
 def test_center_complete_on_small_elements():
     cases = [
-        (catalog.pillowcase_group(3, 2, 4),
+        (group_from_invariant(PillowcaseInvariant(3, 2, 4)),
          [(), ("u",), ("v",), ("u", "v"), ("v", "u"), ("u", "v", "u")]),
         (catalog.g2_group(), range(-3, 4)),
         (catalog.kb_monodromy_group(),
@@ -443,19 +449,6 @@ def test_center_complete_on_small_elements():
         for a in enumerate_small(g, qwords):
             if is_central(g, a):
                 assert a in span, (g.name, a)
-
-
-def test_i_lattice_examples():
-    assert catalog.g2_group().i_lattice() == [(1, 0), (0, 1)]
-    free = ExtensionGroup("Zq", 1, generators=("s",), action={"s": [[1]]})
-    assert free.i_lattice() == []
-    g = ExtensionGroup(
-        "C2", 3, lattice_names=("x", "y", "z"), generators=("u",),
-        action={"u": [[3, 2, 0], [-4, -3, 0], [0, 0, -1]]},
-        cocycles={"u": (1, -1, 0)},
-    )
-    assert lattice_basis(g.i_lattice()) == \
-        lattice_basis([(1, -2, 0), (0, 0, 1)])
 
 
 def test_block_diagonalizable():
@@ -472,7 +465,7 @@ def test_block_diagonalizable():
 
 
 def test_verify_homomorphism_identity_and_broken():
-    g = catalog.pillowcase_group(3, 2, 4)
+    g = group_from_invariant(PillowcaseInvariant(3, 2, 4))
     pres = g.presentation()
     images = {n: g.evaluate_word(n) for n in pres.generators}
     assert verify_homomorphism(pres, images, g) is True
@@ -607,7 +600,7 @@ def _columns_by_counting(g):
 
 def test_relator_columns_match_presentation_exponent_sums():
     groups = list(catalog.default_catalog().values())
-    groups += [catalog.pillowcase_group(p, q, r)
+    groups += [group_from_invariant(PillowcaseInvariant(p, q, r))
                for p, q, r in ((3, 2, 4), (5, 4, 6), (7, 6, 8))]
     # rank 0, every kind
     for kind, gens in (("Trivial", ()), ("C2", ("g",)), ("Zq", ("g",)),

@@ -3,8 +3,6 @@
 import ast
 import importlib
 import inspect
-import itertools
-import math
 import pkgutil
 import random
 
@@ -15,14 +13,12 @@ import solgeom
 from solgeom.intmat import IntMatrix
 from solgeom.gl2z import (
     FiniteOrderClass,
-    MonodromyType,
     NotTwoEndedError,
     NONCENTRAL_CLASSES,
     centralizer_sample,
     conjugate_in_gl2z,
     element_order,
     finite_order_class,
-    monodromy_image_type,
     two_ended_type,
 )
 
@@ -126,9 +122,9 @@ def test_no_assert_statements(module):
 
 
 def test_class_of_each_representative():
-    for cls in FiniteOrderClass:
+    for cls, order in zip(FiniteOrderClass, (1, 2, 2, 2, 3, 4, 6)):
         assert finite_order_class(cls.representative) is cls
-        assert element_order(cls.representative) == cls.order
+        assert element_order(cls.representative) == order
 
 
 def test_class_frozen_examples():
@@ -317,84 +313,3 @@ def test_two_ended_rejections():
         two_ended_type([IntMatrix([[0, 1], [-1, -1]]), REFL])  # order 3
     with pytest.raises(NotTwoEndedError):
         two_ended_type([REFL, HYP, SWAP])  # three generators besides +-I
-
-
-# ---------------------------------------------------------------------------
-# monodromy_image_type
-
-
-def test_monodromy_dihedral_example():
-    a = IntMatrix([[3, 2], [-4, -3]])
-    images = [a, REFL, a, REFL]
-    assert monodromy_image_type(images) is MonodromyType.DIHEDRAL_INFINITE
-
-
-def test_monodromy_trivial_image():
-    assert monodromy_image_type([I2] * 4) is MonodromyType.OTHER
-
-
-def test_monodromy_rejects_swap_class():
-    a = IntMatrix([[3, 2], [-4, -3]])
-    assert monodromy_image_type([a, SWAP, a, SWAP]) is MonodromyType.OTHER
-
-
-def test_monodromy_rejects_finite_dihedral():
-    # both Reflection class, but the group generated is finite
-    assert monodromy_image_type([REFL, IntMatrix([[-1, 0], [0, 1]])]) \
-        is MonodromyType.OTHER
-
-
-def test_monodromy_rejects_minus_i_word():
-    # three Reflection-class images whose group is infinite yet contains -I
-    a = IntMatrix([[3, 2], [-4, -3]])
-    neg_refl = IntMatrix([[-1, 0], [0, 1]])
-    assert monodromy_image_type([REFL, a, neg_refl, REFL]) \
-        is MonodromyType.OTHER
-
-
-def test_monodromy_rejects_order4_image():
-    j = IntMatrix([[0, 1], [-1, 0]])
-    assert monodromy_image_type([REFL, j, REFL, j]) is MonodromyType.OTHER
-
-
-def test_monodromy_rejects_free_group():
-    # three Reflection-class images with a hyperbolic product, but r1 r2 and
-    # r1 r3 are the two Sanov parabolics, which do not commute: the group
-    # contains a free group of rank 2 and is not infinite dihedral
-    r1 = REFL
-    r2 = IntMatrix([[1, 0], [2, -1]])
-    r3 = IntMatrix([[1, 2], [0, -1]])
-    for r in (r2, r3):
-        assert finite_order_class(r) is FiniteOrderClass.REFLECTION
-    assert r1 * r2 == IntMatrix([[1, 0], [-2, 1]])
-    assert r1 * r3 == IntMatrix([[1, 2], [0, 1]])
-    assert (r1 * r2) * (r1 * r3) != (r1 * r3) * (r1 * r2)
-    assert monodromy_image_type([r1, r2, r3]) is MonodromyType.OTHER
-
-
-def test_monodromy_finds_long_minus_i_word():
-    # r1, r1 h^7, -r1 h^6: all Reflection class with commuting translations
-    # h^7 and -h^6, and (r3 r2)^7 r2 r1 = -I, a word of 16 letters
-    h = IntMatrix([[3, 2], [4, 3]])
-    for a, b in ((7, 6), (9, 8)):
-        r2, r3 = REFL * h ** a, -(REFL * h ** b)
-        assert all(finite_order_class(r) is FiniteOrderClass.REFLECTION
-                   for r in (r2, r3))
-        assert (r3 * r2) ** a * r2 * REFL == MINUS_I2
-        assert monodromy_image_type([REFL, r2, r3]) is MonodromyType.OTHER
-
-
-def test_monodromy_minus_i_matches_exponent_arithmetic():
-    # the translations e_a h^a and e_b h^b generate a group holding -I iff
-    # a m + b n = 0 has a solution with e_a^m e_b^n = -1, that is iff
-    # e_a^(b/g) e_b^(a/g) = -1 for g = gcd(a, b)
-    h = IntMatrix([[3, 2], [4, 3]])
-    for a, b in itertools.permutations(range(1, 9), 2):
-        for ea, eb in itertools.product((1, -1), repeat=2):
-            g = math.gcd(a, b)
-            has_minus_i = ea ** (b // g) * eb ** (a // g) == -1
-            images = [REFL] + [m if e == 1 else -m for e, m in
-                               ((ea, REFL * h ** a), (eb, REFL * h ** b))]
-            want = (MonodromyType.OTHER if has_minus_i
-                    else MonodromyType.DIHEDRAL_INFINITE)
-            assert monodromy_image_type(images) is want, (a, b, ea, eb)

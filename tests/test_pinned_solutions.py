@@ -69,7 +69,7 @@ def _torsion_copies(seed=81):
     ident = IntMatrix.identity(3)
     out = []
     for inv in classifier.enumerate_invariants(20):
-        g = catalog.pillowcase_group(inv.p, inv.q, inv.r)
+        g = classifier.group_from_invariant(inv)
         b = _random_basis(rng)
         bi = b.inverse()
         u = b * g.action["u"] * bi

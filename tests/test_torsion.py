@@ -18,7 +18,11 @@ import pytest
 
 import oracles
 from solgeom import catalog, cli, extensions
-from solgeom.classifier import enumerate_invariants
+from solgeom.classifier import (
+    PillowcaseInvariant,
+    enumerate_invariants,
+    group_from_invariant,
+)
 from solgeom.extensions import ExtensionGroup, from_description
 from solgeom.intmat import solve_integer
 
@@ -205,7 +209,7 @@ def test_torsion_decided_once_per_group(monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["torsion_found"] is False
     assert len(tests) == 2 and not solves  # the cosets of u and of v
-    g = catalog.pillowcase_group(3, 2, 4)
+    g = group_from_invariant(PillowcaseInvariant(3, 2, 4))
     assert g.find_torsion() is None and len(tests) == 4
     assert g.find_torsion() is None and len(tests) == 4
     assert not solves
