@@ -16,9 +16,9 @@ lies in the box.  Two-ended subgroup typing is exact.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .intmat import IntMatrix, kernel_basis
+from .intmat import IntMatrix, _mul_rows, kernel_basis
 
 
 class FiniteOrderClass(enum.Enum):
@@ -182,8 +182,7 @@ class NotTwoEndedError(ValueError):
     """The given generators do not produce a two-ended subgroup."""
 
 
-@dataclass(frozen=True)
-class TwoEndedType:
+class TwoEndedType(NamedTuple):
     """Type of a two-ended subgroup of GL(2,Z).
 
     case 1: <A>, A of infinite order
@@ -205,16 +204,28 @@ class TwoEndedType:
 
 def two_ended_type(generators: list[IntMatrix]) -> TwoEndedType:
     """Classify a two-ended subgroup given 1 or 2 generators, optionally
-    with -I adjoined to the list."""
+    with -I adjoined to the list.
+
+    Each generator is checked once for GL(2,Z); +-I are found by their
+    rows, and the order of AB is read off the product of the two row
+    tuples, so no matrix is built on the way.
+    """
     gens = []  # (matrix, det): each det is taken once
     adjoined_minus = False
     for g in generators:
-        d = _require_gl2(g)
-        if g == _ID:
+        rows = g.rows
+        if rows == _ID.rows:
             continue
-        if g == _MINUS_ID:
+        if rows == _MINUS_ID.rows:
             adjoined_minus = True
             continue
+        # _require_gl2, inlined: the two-ended suite types every box pair
+        if g.n != 2:
+            raise ValueError("expected a 2x2 matrix")
+        (w, x), (y, z) = rows
+        d = w * z - x * y
+        if d not in (1, -1):
+            raise ValueError(f"matrix with det {d} is not in GL(2,Z)")
         gens.append((g, d))
 
     if len(gens) == 1:
@@ -234,7 +245,7 @@ def two_ended_type(generators: list[IntMatrix]) -> TwoEndedType:
     if order_a not in (2, 4) or order_b not in (2, 4):
         raise NotTwoEndedError("two-generator input needs generator orders "
                                "2 or 4")
-    if _order(da * db, (a * b).rows) is not None:
+    if _order(da * db, _mul_rows(a.rows, b.rows, 2)) is not None:
         raise NotTwoEndedError("product AB has finite order")
 
     # put an order-4 generator first, for the case 5 witness convention

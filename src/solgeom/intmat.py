@@ -131,24 +131,7 @@ class IntMatrix:
         n = self.n
         if other.n != n:
             raise ValueError("dimension mismatch")
-        if n == 2:
-            (a, b), (c, d) = self.rows
-            (e, f), (g, h) = other.rows
-            return _trusted(((a * e + b * g, a * f + b * h),
-                             (c * e + d * g, c * f + d * h)), 2)
-        if n == 3:
-            (a, b, c), (d, e, f), (g, h, i) = self.rows
-            (j, k, l), (m, o, p), (q, r, s) = other.rows
-            return _trusted(((a * j + b * m + c * q, a * k + b * o + c * r,
-                              a * l + b * p + c * s),
-                             (d * j + e * m + f * q, d * k + e * o + f * r,
-                              d * l + e * p + f * s),
-                             (g * j + h * m + i * q, g * k + h * o + i * r,
-                              g * l + h * p + i * s)), 3)
-        cols = tuple(zip(*other.rows))
-        return _trusted(tuple(tuple(sum(x * y for x, y in zip(row, col))
-                                    for col in cols)
-                              for row in self.rows), n)
+        return _trusted(_mul_rows(self.rows, other.rows, n), n)
 
     def __add__(self, other):
         if not isinstance(other, IntMatrix):
@@ -171,19 +154,24 @@ class IntMatrix:
                         self.n)
 
     def __pow__(self, k: int) -> "IntMatrix":
+        """M^k by squaring left to right over the bits of k, on row tuples.
+
+        M^12 takes 4 products and wraps one matrix.  k = 0 gives the shared
+        identity, and a negative k inverts first, so it needs det = +-1.
+        """
         if k < 0:
             if not self.is_unimodular():
                 raise ValueError("negative power of a non-unimodular matrix")
             return self.inverse() ** (-k)
+        n = self.n
         if k == 0:
-            return IntMatrix.identity(self.n)
-        # left to right over the bits of k: M^12 takes 4 products, not 6
-        result = self
+            return IntMatrix.identity(n)
+        rows = result = self.rows
         for bit in bin(k)[3:]:
-            result = result * result
+            result = _mul_rows(result, result, n)
             if bit == "1":
-                result = result * self
-        return result
+                result = _mul_rows(result, rows, n)
+        return _trusted(result, n)
 
     def apply(self, v: IntVector) -> IntVector:
         n = self.n
@@ -280,6 +268,28 @@ def _trusted(rows: tuple, n: int) -> IntMatrix:
     object.__setattr__(m, "n", n)
     object.__setattr__(m, "rows", rows)
     return m
+
+
+def _mul_rows(x: tuple, y: tuple, n: int) -> tuple:
+    """The product of two n x n matrices given as row tuples, as row
+    tuples; closed form at sizes 2 and 3."""
+    if n == 2:
+        (a, b), (c, d) = x
+        (e, f), (g, h) = y
+        return ((a * e + b * g, a * f + b * h),
+                (c * e + d * g, c * f + d * h))
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = x
+        (j, k, l), (m, o, p), (q, r, s) = y
+        return ((a * j + b * m + c * q, a * k + b * o + c * r,
+                 a * l + b * p + c * s),
+                (d * j + e * m + f * q, d * k + e * o + f * r,
+                 d * l + e * p + f * s),
+                (g * j + h * m + i * q, g * k + h * o + i * r,
+                 g * l + h * p + i * s))
+    cols = tuple(zip(*y))
+    return tuple(tuple(sum(u * v for u, v in zip(row, col)) for col in cols)
+                 for row in x)
 
 
 _IDENTITIES = {n: _trusted(tuple(tuple(int(i == j) for j in range(n))

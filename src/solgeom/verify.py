@@ -8,7 +8,6 @@ failures maps to exit code 0.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -83,10 +82,30 @@ def _mat(t):
 # order-twelve: the closed-form element order against twelfth powers
 
 def _unimodular_tuples(box: int):
+    """Every (a, b, c, d) with entries in [-box, box] and ad - bc = +-1, in
+    lexicographic order.
+
+    ad - bc = e is solved for d over each first row (a, b) with gcd 1 and
+    each c: with a != 0, d = (bc + e)/a for e = -1 and e = 1, taken in
+    increasing order of d; with a = 0, b and c are +-1 and every d in the
+    box works.
+    """
     rng = range(-box, box + 1)
-    for a, b, c, d in itertools.product(rng, repeat=4):
-        if abs(a * d - b * c) == 1:
-            yield (a, b, c, d)
+    for a in rng:
+        signs = (-1, 1) if a > 0 else (1, -1)
+        for b in rng:
+            if gcd(a, b) != 1:
+                continue
+            if a == 0:  # then b = +-1, and c must be +-1 too
+                for c in (-1, 1):
+                    for d in rng:
+                        yield (0, b, c, d)
+                continue
+            for c in rng:
+                for e in signs:
+                    d, r = divmod(b * c + e, a)
+                    if not r and -box <= d <= box:
+                        yield (a, b, c, d)
 
 
 def _check_order_twelve(t):

@@ -11,10 +11,12 @@ import pytest
 import oracles
 import solgeom
 from solgeom.intmat import IntMatrix
+from solgeom import verify
 from solgeom.gl2z import (
     FiniteOrderClass,
     NotTwoEndedError,
     NONCENTRAL_CLASSES,
+    TwoEndedType,
     centralizer_sample,
     conjugate_in_gl2z,
     element_order,
@@ -313,3 +315,32 @@ def test_two_ended_rejections():
         two_ended_type([IntMatrix([[0, 1], [-1, -1]]), REFL])  # order 3
     with pytest.raises(NotTwoEndedError):
         two_ended_type([REFL, HYP, SWAP])  # three generators besides +-I
+
+
+def test_two_ended_error_texts():
+    with pytest.raises(ValueError, match="expected a 2x2 matrix") as err:
+        two_ended_type([IntMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])])
+    assert type(err.value) is ValueError
+    with pytest.raises(ValueError, match=r"^matrix with det 2 is not in "
+                       r"GL\(2,Z\)$") as err:
+        two_ended_type([HYP, IntMatrix([[2, 0], [0, 1]])])
+    assert type(err.value) is ValueError
+    with pytest.raises(NotTwoEndedError, match="got 0"):
+        two_ended_type([I2, MINUS_I2])
+    with pytest.raises(NotTwoEndedError,
+                       match="single generator has finite order"):
+        two_ended_type([SWAP, MINUS_I2])
+
+
+def test_two_ended_synthetic_pairs_and_record():
+    # the verify suite's six synthetic cases, and TwoEndedType's fields,
+    # repr and has_minus_i in each case
+    has_minus_i = {1: False, 2: True, 3: False, 4: True, 5: True, 6: True}
+    for gens, case in verify._SYNTHETIC_PAIRS:
+        typed = two_ended_type([_mat(t) for t in gens])
+        assert typed.case == case
+        assert typed.has_minus_i is has_minus_i[case]
+    assert TwoEndedType._fields == ("case", "witnesses", "has_minus_i")
+    assert repr(two_ended_type([HYP, MINUS_I2])) == (
+        "TwoEndedType(case=2, witnesses=(IntMatrix('3,2;4,3'),), "
+        "has_minus_i=True)")

@@ -5,6 +5,7 @@ brute-force oracles in oracles.py; property sweeps use a seeded RNG so runs
 are reproducible.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -208,6 +209,28 @@ def test_arithmetic_matches_plain_lists(n):
         a + IntMatrix.identity(n % 8 + 1)
     with pytest.raises(ValueError):
         a - IntMatrix.identity(n % 8 + 1)
+
+
+def test_pow_is_left_to_right_product():
+    # every 2x2 matrix with entries in [-2, 2] and 50 seeded 3x3 unimodular
+    # ones; M^k is I * M * ... * M, built like IntMatrix(rows)
+    mats = [[[a, b], [c, d]]
+            for a, b, c, d in itertools.product(range(-2, 3), repeat=4)]
+    rng = random.Random(2323)
+    mats += [_random_unimodular_rows(rng, 3) for _ in range(50)]
+    for rows in mats:
+        m = IntMatrix(rows)
+        acc = _plain_identity(len(rows))
+        for k in range(14):
+            _assert_built_from(m ** k, acc)
+            acc = _plain_mul(acc, rows)
+        if m.is_unimodular():
+            inv = m.inverse()
+            for k in range(1, 14):
+                assert m ** -k == inv ** k
+        else:
+            with pytest.raises(ValueError):
+                m ** -1
 
 
 def test_identity_dimension_guard():

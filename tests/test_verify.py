@@ -70,6 +70,22 @@ def test_order_twelve_instance_count_matches_oracle():
     assert rep.instances == len(oracles.unimodular_box(2))
 
 
+@pytest.mark.parametrize("box", range(7))
+def test_unimodular_tuples_match_quadruple_scan(box):
+    # the same tuples in the same (lexicographic) order as the full scan
+    assert list(verify._unimodular_tuples(box)) == oracles.unimodular_box(box)
+
+
+def test_instance_counts_at_benchmark_bounds():
+    # perfbench's sweep runs two-ended at box 1 and order-twelve at box 4
+    finite = [t for t in oracles.unimodular_box(1)
+              if oracles.order2_brute(t) is not None]
+    assert len(finite) ** 2 + len(verify._SYNTHETIC_PAIRS) == 582
+    assert run_suite("two-ended", box=1).instances == 582
+    assert len(oracles.unimodular_box(4)) == 360
+    assert run_suite("order-twelve", box=4).instances == 360
+
+
 def test_two_ended_counts_pairs_plus_synthetics():
     finite = [t for t in oracles.unimodular_box(2)
               if element_order(IntMatrix([t[:2], t[2:]])) is not None]
