@@ -10,7 +10,9 @@ det = -1 involution classes) is separated by reduction mod 2.
 Conjugacy and centralizer searches share one box scan, exhaustive over the
 lattice of solutions of C m = n C at cost O((2B+1)^rank) for box bound B;
 a conjugacy search that finds nothing certifies only that no conjugator
-lies in the box.  Two-ended subgroup typing is exact.
+lies in the box.  The scan is a non-recursive, lazy walk over plain
+integer 4-tuples that wraps only its hits as matrices, without the
+constructor's checks.  Two-ended subgroup typing is exact.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .intmat import IntMatrix, _mul_rows, kernel_basis
+from .intmat import IntMatrix, _mul_rows, _trusted, kernel_basis
 
 
 class FiniteOrderClass(enum.Enum):
@@ -136,26 +138,35 @@ def _box_scan(m: IntMatrix, n: IntMatrix, bound: int):
     columns, so each coefficient's range follows from the bound on its
     pivot coordinate; walking the ranges upwards visits the lattice points
     of the box in lexicographic order, at cost O((2 bound + 1)^rank).
+
+    The walk is a chain of generators, one per basis vector, over plain
+    4-tuples, so it is lazy: a caller that stops at the first hit never
+    lists the box.  Each hit's entries are ints the walk made, so it is
+    wrapped without the constructor's checks.
     """
     (ma, mb), (mc, md) = m.rows
     (na, nb), (nc, nd) = n.rows
-    basis = kernel_basis([[ma - na, mc, -nb, 0], [mb, md - na, 0, -nb],
-                          [-nc, 0, ma - nd, mc], [0, -nc, mb, md - nd]])
+    points = iter(((0, 0, 0, 0),))
+    for v in kernel_basis([[ma - na, mc, -nb, 0], [mb, md - na, 0, -nb],
+                           [-nc, 0, ma - nd, mc], [0, -nc, mb, md - nd]]):
+        points = _extend(points, v, bound)
+    return (_trusted(((a, b), (c, d)), 2) for a, b, c, d in points
+            if -bound <= a <= bound and -bound <= b <= bound
+            and -bound <= c <= bound and -bound <= d <= bound
+            and a * d - b * c in (1, -1))
 
-    def walk(i, point):
-        if i < len(basis):
-            v = basis[i]
-            j = next(j for j, x in enumerate(v) if x)
-            # every k with |point[j] + k v[j]| <= bound, where v[j] > 0
-            for k in range(-((bound + point[j]) // v[j]),
-                           (bound - point[j]) // v[j] + 1):
-                yield from walk(i + 1, [p + k * y for p, y in zip(point, v)])
-        elif max(map(abs, point)) <= bound:
-            a, b, c, d = point
-            if a * d - b * c in (1, -1):
-                yield IntMatrix([[a, b], [c, d]])
 
-    return walk(0, [0, 0, 0, 0])
+def _extend(points, v, bound: int):
+    """Each point p, in turn, extended to p + k v for every k with
+    |p[j] + k v[j]| <= bound, k upwards, where v[j] > 0 is v's pivot."""
+    j = next(j for j, x in enumerate(v) if x)
+    w, x, y, z = v
+    pivot = v[j]
+    for p in points:
+        a, b, c, d = p
+        for k in range(-((bound + p[j]) // pivot),
+                       (bound - p[j]) // pivot + 1):
+            yield (a + k * w, b + k * x, c + k * y, d + k * z)
 
 
 def conjugate_in_gl2z(m: IntMatrix, n: IntMatrix,

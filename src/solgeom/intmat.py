@@ -260,8 +260,8 @@ class IntMatrix:
 def _trusted(rows: tuple, n: int) -> IntMatrix:
     """An IntMatrix from n row tuples of n ints each, taken as they are.
 
-    Only for results of IntMatrix arithmetic: their entries are sums and
-    products of stored entries, which are already ints, so none of the
+    Only for rows of ints the caller made, such as results of IntMatrix
+    arithmetic (sums and products of stored entries), so none of the
     constructor's checks can fail.
     """
     m = object.__new__(IntMatrix)

@@ -28,11 +28,12 @@ from .extensions import (
 from .gl2z import (
     NONCENTRAL_CLASSES,
     NotTwoEndedError,
+    _order,
     centralizer_sample,
     element_order,
     two_ended_type,
 )
-from .intmat import IntMatrix, solve_integer
+from .intmat import IntMatrix, _mul_rows, _trusted, solve_integer
 
 
 @dataclass
@@ -75,7 +76,13 @@ def _fail(key, expected, actual) -> dict:
 
 
 def _mat(t):
-    return IntMatrix([[t[0], t[1]], [t[2], t[3]]])
+    """The 2x2 matrix of the entry tuple t = (a, b, c, d).
+
+    Only for tuples this module made, from _unimodular_tuples and
+    _SYNTHETIC_PAIRS: their entries are already ints, so the checking
+    constructor is skipped.
+    """
+    return _trusted(((t[0], t[1]), (t[2], t[3])), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +116,16 @@ def _unimodular_tuples(box: int):
 
 
 def _check_order_twelve(t):
-    m = _mat(t)
-    order = element_order(m)
-    twelfth_is_identity = (m ** 12).is_identity()
+    a, b, c, d = t
+    det = a * d - b * c
+    if det not in (1, -1):
+        raise ValueError(f"matrix with det {det} is not in GL(2,Z)")
+    m = ((a, b), (c, d))
+    order = _order(det, m)
+    # M^12 by the four products M ** 12 takes: M^2, M^3, M^6, M^12
+    m3 = _mul_rows(_mul_rows(m, m, 2), m, 2)
+    m6 = _mul_rows(m3, m3, 2)
+    twelfth_is_identity = _mul_rows(m6, m6, 2) == ((1, 0), (0, 1))
     if twelfth_is_identity != (order is not None):
         return _fail(t, "M^12 = I exactly for the finite-order matrices",
                      f"order={order}, M^12=I is {twelfth_is_identity}")
@@ -129,14 +143,14 @@ def run_order_twelve(box: int = 3) -> VerificationReport:
 # finite-subgroups: centralizers of noncentral finite elements are finite
 
 def run_finite_subgroups(box: int = 6) -> VerificationReport:
-    instances = []
-    for cls in NONCENTRAL_CLASSES:
-        rep = cls.representative
-        for m in centralizer_sample(rep, box):
-            instances.append((cls.name, tuple(m.rows[0] + m.rows[1])))
+    # (instance key, its matrix): the key is (class name, (a, b, c, d))
+    instances = [((cls.name, m.rows[0] + m.rows[1]), m)
+                 for cls in NONCENTRAL_CLASSES
+                 for m in centralizer_sample(cls.representative, box)]
 
-    def check(inst):
-        if element_order(_mat(inst[1])) is None:
+    def check(instance):
+        inst, m = instance
+        if element_order(m) is None:
             return _fail(inst, "every sampled centralizer element has "
                          "finite order", "infinite order")
         return None

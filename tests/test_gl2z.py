@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pkgutil
 import random
+import tracemalloc
 
 import pytest
 
@@ -238,6 +239,49 @@ def test_scans_match_quartic_oracle():
             assert first == (_mat(want[0]) if want else None)
             want = oracles.intertwiner_box_scan(m, m, bound)
             assert centralizer_sample(_mat(m), bound) == [_mat(t) for t in want]
+
+
+def test_noncentral_centralizers_match_quartic_oracle():
+    # the finite-subgroups suite runs at box 6
+    for cls in NONCENTRAL_CLASSES:
+        rep = cls.representative
+        t = rep.rows[0] + rep.rows[1]
+        for bound in range(7):
+            want = oracles.intertwiner_box_scan(t, t, bound)
+            assert centralizer_sample(rep, bound) == [_mat(w) for w in want]
+
+
+def test_finite_subgroups_instances_match_quartic_oracle(monkeypatch):
+    # every instance fails under an order rule that reports all infinite,
+    # so the failure keys list the instances; the rule's calls give their
+    # order
+    seen = []
+
+    def infinite(m):
+        seen.append(m.rows[0] + m.rows[1])
+
+    monkeypatch.setattr(verify, "element_order", infinite)
+    rep = verify.run_suite("finite-subgroups", box=6)
+    want = []
+    for cls in NONCENTRAL_CLASSES:
+        t = cls.representative.rows[0] + cls.representative.rows[1]
+        want += [(cls.name, w) for w in oracles.intertwiner_box_scan(t, t, 6)]
+    assert seen == [w for _, w in want]
+    assert rep.instances == len(want)
+    assert [f["input"] for f in rep.failures] == sorted(want, key=str)
+
+
+def test_conjugate_search_stops_at_first_hit():
+    # the rank-4 lattice of the identity's box 12 has 25^4 points; listing
+    # them first would take tens of MB, the lazy walk a few KB
+    tracemalloc.start()
+    try:
+        c = conjugate_in_gl2z(I2, I2, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c == IntMatrix([[-12, -11], [-11, -10]])
+    assert peak < 64 * 1024
 
 
 # ---------------------------------------------------------------------------

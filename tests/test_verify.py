@@ -7,7 +7,7 @@ import pytest
 import oracles
 from solgeom import verify
 from solgeom.extensions import ExtensionGroup
-from solgeom.gl2z import NotTwoEndedError, element_order
+from solgeom.gl2z import NONCENTRAL_CLASSES, NotTwoEndedError, element_order
 from solgeom.intmat import IntMatrix
 from solgeom.verify import VerificationReport, run_suite
 
@@ -84,6 +84,46 @@ def test_instance_counts_at_benchmark_bounds():
     assert run_suite("two-ended", box=1).instances == 582
     assert len(oracles.unimodular_box(4)) == 360
     assert run_suite("order-twelve", box=4).instances == 360
+
+
+def _order_six_reads_infinite(order):
+    """The order rule `order`, but reporting order 6 as infinite."""
+    def wrong(*args):
+        o = order(*args)
+        return None if o == 6 else o
+    return wrong
+
+
+def test_order_twelve_catches_wrong_order_rule(monkeypatch):
+    monkeypatch.setattr(verify, "_order", _order_six_reads_infinite(
+        verify._order))
+    rep = run_suite("order-twelve", box=3)
+    want = [t for t in oracles.unimodular_box(3)
+            if oracles.order2_brute(t) == 6]
+    assert want and not rep.ok
+    assert [f["input"] for f in rep.failures] == sorted(want, key=str)
+    assert {(f["expected"], f["actual"]) for f in rep.failures} == {
+        ("M^12 = I exactly for the finite-order matrices",
+         "order=None, M^12=I is True")}
+
+
+def _tuple(m):
+    return m.rows[0] + m.rows[1]
+
+
+def test_finite_subgroups_catches_wrong_order_rule(monkeypatch):
+    monkeypatch.setattr(verify, "element_order", _order_six_reads_infinite(
+        verify.element_order))
+    rep = run_suite("finite-subgroups", box=6)
+    want = [(cls.name, t) for cls in NONCENTRAL_CLASSES
+            for t in oracles.intertwiner_box_scan(
+                _tuple(cls.representative), _tuple(cls.representative), 6)
+            if oracles.order2_brute(t) == 6]
+    assert want and not rep.ok
+    assert [f["input"] for f in rep.failures] == sorted(want, key=str)
+    assert {(f["expected"], f["actual"]) for f in rep.failures} == {
+        ("every sampled centralizer element has finite order",
+         "infinite order")}
 
 
 def test_two_ended_counts_pairs_plus_synthetics():

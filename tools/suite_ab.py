@@ -12,10 +12,12 @@ side that goes first alternates from round to round.
 
 Prints, per suite, each side's median time in ms and the median of the
 per-round ratios change/parent, then the same for the slowest suite of
-each round, the op that sets `sweep`'s op_p90_ms.  Both sides must report
-the same instance count and verdict.  This is a diagnostic that resolves
-small differences the end-to-end runs cannot; speed claims come from
-tools/bench_pairs.py.  Standard library only.
+each round, the op that sets `sweep`'s op_p90_ms, and for the sum of the
+seven suites of each round (`round total`), the in-process analogue of
+`sweep`'s ops_per_s.  Both sides must report the same instance count and
+verdict.  This is a diagnostic that resolves small differences the
+end-to-end runs cannot; speed claims come from tools/bench_pairs.py.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -94,6 +96,9 @@ def main(argv=None):
     slowest = {side: [max(times[side, name][i] for name, _ in suites)
                       for i in range(args.rounds)] for side in SIDES}
     row("slowest op", slowest["parent"], slowest["change"])
+    total = {side: [sum(times[side, name][i] for name, _ in suites)
+                    for i in range(args.rounds)] for side in SIDES}
+    row("round total", total["parent"], total["change"])
     return 0
 
 
