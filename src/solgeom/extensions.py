@@ -21,6 +21,7 @@ import enum
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -41,6 +42,7 @@ from .intmat import (
 # product over primes p of the largest p^k with phi(p^k) <= n (the
 # crystallographic restriction)
 _ORDER_EXPONENT = (1, 2, 12, 12, 120, 120, 2520, 2520, 5040)
+_first = operator.itemgetter(0)  # the generator name of a letter
 
 
 class QuotientKind(enum.Enum):
@@ -55,6 +57,15 @@ class QuotientKind(enum.Enum):
 def _run(name, k) -> list[tuple[str, int]]:
     """The letters of name^k, each with exponent +-1."""
     return [(name, 1 if k > 0 else -1)] * abs(k)
+
+
+def _int_pair(q, message) -> tuple[int, int]:
+    """The pair word q as two integers, read as the cocycles are read."""
+    try:
+        a, b = map(operator.index, q)
+    except (TypeError, ValueError):
+        raise ValueError(message) from None
+    return a, b
 
 
 class _Kind:
@@ -139,7 +150,7 @@ class _ZxC2(_Kind):
     arity, involutive, commutator, identity = 2, (1,), True, (0, 0)
 
     def check(self, G, q):
-        k, eps = q
+        k, eps = _int_pair(q, "ZxC2 word must be (k, 0 or 1)")
         if eps not in (0, 1):
             raise ValueError("ZxC2 word must be (k, 0 or 1)")
         return (k, eps)
@@ -219,8 +230,7 @@ class _Klein(_Kind):
     arity, identity = 2, (0, 0)
 
     def check(self, G, q):
-        a, b = q
-        return (int(a), int(b))
+        return _int_pair(q, "Klein word must be a pair of integers")
 
     def letters(self, G, q):
         x, y = G.generators
@@ -426,6 +436,7 @@ class ExtensionGroup:
             self.axis_signs = axis_signs
 
         self.name = name
+        self._word_matrices = {}  # checked word q -> action, in _word_matrix
         self._validate_structure()
 
     # -- structural checks --------------------------------------------------
@@ -480,23 +491,24 @@ class ExtensionGroup:
         quotient word, with runs collapsed to name^exp."""
         letters = [(self.lattice_names[i], a.t[i])
                    for i in range(self.rank) if a.t[i]]
-        for name, exp in self._k.letters(self, a.q):
-            if letters and letters[-1][0] == name:
-                prev, total = letters[-1]
-                if total + exp == 0:
-                    letters.pop()
-                else:
-                    letters[-1] = (prev, total + exp)
-            else:
-                letters.append((name, exp))
-        return render_word(tuple(letters))
+        return render_word(tuple(letters + self._runs(a.q)))
+
+    def _runs(self, q) -> list[tuple[str, int]]:
+        """The letters of the word q with each run of one name collapsed."""
+        return [(name, sum(e for _, e in run))
+                for name, run in groupby(self._k.letters(self, q), _first)]
 
     def _word_matrix(self, q) -> IntMatrix:
-        """Action of the quotient word on the lattice."""
-        m = IntMatrix.identity(self.rank)
-        for name, exp in self._k.letters(self, q):
-            a = self.action[name]
-            m = m * (a if exp == 1 else a.inverse())
+        """Action of the checked normal-form word q on the lattice, one power
+        per run, built once into self._word_matrices.  That memo is keyed by
+        q alone, which names a matrix only for this group's actions, so it
+        lives on the group and nothing outlives the group."""
+        m = self._word_matrices.get(q)
+        if m is None:
+            m = IntMatrix.identity(self.rank)
+            for name, k in self._runs(q):
+                m = m * self.action[name] ** k
+            self._word_matrices[q] = m
         return m
 
     def _apply_q(self, q, vec: IntVector) -> IntVector:
@@ -512,59 +524,72 @@ class ExtensionGroup:
             t, exp = vec_add(t, self._apply_q(q, vec_neg(s_g))), 1
         return self._k.append(self, t, q, name, exp)
 
-    def element_mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        a = self.element(a.t, a.q)
-        b = self.element(b.t, b.q)
+    def _mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
+        """a b for elements already in checked normal form."""
         t = vec_add(a.t, self._apply_q(a.q, b.t))
         q = a.q
         for name, exp in self._k.letters(self, b.q):
             t, q = self._append_one(t, q, name, exp)
         return GroupElement(t, q)
 
-    def element_inv(self, a: GroupElement) -> GroupElement:
-        a = self.element(a.t, a.q)
-        zero = (0,) * self.rank
-        t, q = zero, self._k.identity
+    def _mul_pow(self, acc: GroupElement, a: GroupElement,
+                 k: int) -> GroupElement:
+        """acc a^k for checked acc and a and k >= 0, by repeated squaring:
+        the factors a^(2^i) commute, so they collect in any order."""
+        while True:
+            if k & 1:
+                acc = self._mul(acc, a)
+            k >>= 1
+            if not k:
+                return acc
+            a = self._mul(a, a)
+
+    def _inv(self, a: GroupElement) -> GroupElement:
+        """a^-1 for a checked a."""
+        t, q = (0,) * self.rank, self._k.identity
         for name, exp in reversed(self._k.letters(self, a.q)):
             t, q = self._append_one(t, q, name, -exp)
         # a^-1 = lift(a.q)^-1 tau(-a.t), and the letters of a.q reversed and
         # inverted have just collected to lift(a.q)^-1 = (t, q)
         return GroupElement(vec_sub(t, self._apply_q(q, a.t)), q)
 
+    def element_mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
+        return self._mul(self.element(a.t, a.q), self.element(b.t, b.q))
+
+    def element_inv(self, a: GroupElement) -> GroupElement:
+        return self._inv(self.element(a.t, a.q))
+
     def element_pow(self, a: GroupElement, k: int) -> GroupElement:
         if k < 0:
             return self.element_pow(self.element_inv(a), -k)
-        acc = self.identity()
-        for _ in range(k):
-            acc = self.element_mul(acc, a)
-        return acc
+        if k == 0:
+            return self.identity()
+        return self._mul_pow(self.identity(), self.element(a.t, a.q), k)
 
     def conjugate(self, a: GroupElement, b: GroupElement) -> GroupElement:
         """a b a^-1."""
-        return self.element_mul(self.element_mul(a, b), self.element_inv(a))
+        a = self.element(a.t, a.q)
+        return self._mul(self._mul(a, self.element(b.t, b.q)), self._inv(a))
 
     def commute(self, a: GroupElement, b: GroupElement) -> bool:
-        return self.element_mul(a, b) == self.element_mul(b, a)
+        a, b = self.element(a.t, a.q), self.element(b.t, b.q)
+        return self._mul(a, b) == self._mul(b, a)
 
     def evaluate_word(self, word) -> GroupElement:
         """Evaluate a free word over lattice and quotient generator names."""
         if isinstance(word, str):
             word = parse_word(word)
         acc = self.identity()
-        zero = [0] * self.rank
         for name, exp in word:
             if name in self.generators:
                 t, q = acc.t, acc.q
-                step = 1 if exp > 0 else -1
-                for _ in range(abs(exp)):
+                for _, step in _run(name, exp):
                     t, q = self._append_one(t, q, name, step)
                 acc = GroupElement(t, q)
             elif name in self.lattice_names:
                 i = self.lattice_names.index(name)
-                vec = list(zero)
-                vec[i] = exp
-                acc = self.element_mul(acc,
-                                       self.element(tuple(vec)))
+                vec = tuple(exp if j == i else 0 for j in range(self.rank))
+                acc = self._mul(acc, self.element(vec))
             else:
                 raise ValueError(f"unknown generator {name!r}")
         return acc
@@ -770,7 +795,8 @@ class ExtensionGroup:
         witnesses = (self.generator_elements()
                      + self.lattice_basis_elements())
         for z in gens:
-            if not all(self.commute(z, w) for w in witnesses):
+            if not all(self._mul(z, w) == self._mul(w, z)
+                       for w in witnesses):
                 raise RuntimeError(f"central candidate {z} does not commute "
                                    f"with every generator")
         rank = len(lat_vectors) + sum(1 for z in extras
@@ -817,7 +843,7 @@ class ExtensionGroup:
         rhs = []
         for g in self.generators:
             h = self.generator_element(g)
-            conj = self.conjugate(h, base)
+            conj = self._mul(self._mul(h, base), self._inv(h))
             if conj.q != base.q:
                 return None
             # h (t,q) h^-1 = (rho(g) t + d, q) must equal (t, q)
@@ -957,14 +983,19 @@ def verify_homomorphism(src: FpPresentation, images: dict,
     if missing:
         raise ValueError(f"unmapped generators: {missing}")
     ident = target.identity()
+    checked, inverses = {}, {}
     for rel in src.relators:
         acc = ident
         for name, exp in rel:
-            img = images[name]
+            if name not in checked:
+                checked[name] = target.element(images[name].t,
+                                               images[name].q)
+            img = checked[name]
             if exp < 0:
-                img = target.element_inv(img)
-            for _ in range(abs(exp)):
-                acc = target.element_mul(acc, img)
+                if name not in inverses:
+                    inverses[name] = target._inv(img)
+                img = inverses[name]
+            acc = target._mul_pow(acc, img, abs(exp))
         if acc != ident:
             return False
     return True

@@ -4,11 +4,13 @@ Everything in here deliberately avoids the library's own algorithms: searches
 are exhaustive scans over boxes, invariant factors come from gcds of minors,
 and matrix arithmetic is done on raw tuples (or int64 numpy arrays, which are
 exact at these sizes).  If an oracle and the library disagree, the test fails;
-the oracle is never built on top of the code path it checks.  Two oracles
+the oracle is never built on top of the code path it checks.  Three oracles
 use the library.  from_extension_by_kernels does so through routines the
 checked path never calls.  The reference kernel and saturation keep the
 echelon reduction that intmat used before it read kernels off the Hermite
-form, and share only that final Hermite form with it.
+form, and share only that final Hermite form with it.  The letter-by-letter
+word action keeps the one the collection layer used before its memo, and
+shares the rest of the collection with the checked path.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import gcd
 import numpy as np
 
 from solgeom.classifier import InvariantError, PillowcaseInvariant, normalize
-from solgeom.extensions import ExtensionGroup
+from solgeom.extensions import ExtensionGroup, from_description
 from solgeom.intmat import (
     IntMatrix,
     IntVector,
@@ -281,6 +283,29 @@ def solvable_by_minors(rows, b):
     if rank_by_minors(aug) != r:
         return False
     return r == 0 or minor_gcd(rows, r) == minor_gcd(aug, r)
+
+
+# ---------------------------------------------------------------------------
+# collection: word actions rebuilt letter by letter, with no memo
+
+def word_matrix(group: ExtensionGroup, q) -> IntMatrix:
+    """Action of the normal-form word q on the lattice: the product of its
+    letters' matrices, one letter at a time, an inverse for each letter
+    with exponent -1.  This is the collection layer's word action before
+    it kept a memo and took each run as one power."""
+    m = IntMatrix.identity(group.rank)
+    for name, exp in group._k.letters(group, q):
+        a = group.action[name]
+        m = m * (a if exp == 1 else a.inverse())
+    return m
+
+
+def letter_by_letter(group: ExtensionGroup) -> ExtensionGroup:
+    """A copy of group whose collection rebuilds every word action with
+    word_matrix, so it neither reads nor fills a memo."""
+    twin = from_description(group.to_description())
+    twin._word_matrix = lambda q: word_matrix(twin, q)
+    return twin
 
 
 # ---------------------------------------------------------------------------

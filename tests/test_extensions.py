@@ -16,6 +16,7 @@ from solgeom.classifier import (
 )
 from solgeom.extensions import (
     ExtensionGroup,
+    FpPresentation,
     GroupElement,
     QuotientKind,
     from_description,
@@ -626,3 +627,145 @@ def test_relator_columns_match_presentation_exponent_sums():
     assert {g.kind for g in groups} == set(extensions.QuotientKind)
     for g in groups:
         assert g._relator_matrix_rows() == _columns_by_counting(g)
+
+
+# -- the collection layer ---------------------------------------------------
+
+def _collection_groups():
+    """Every catalog group, and one group of each kind the catalog lacks."""
+    groups = list(catalog.default_catalog().values()) + [
+        ExtensionGroup("C2", 2, generators=("g",),
+                       action={"g": [[0, 1], [1, 0]]}, cocycles={"g": (1, 1)},
+                       axis_signs={"g": -1}),
+        ExtensionGroup("Trivial", 2),
+    ]
+    assert {g.kind for g in groups} == set(QuotientKind)
+    return groups
+
+
+def _long_words(g, rng):
+    """Elements of g with long quotient words, negative exponents included
+    (the other kinds have no long normal-form words)."""
+    if g.kind is QuotientKind.ZQ:
+        words = [rng.randint(8, 30) * sign for sign in (1, -1, 1, -1)]
+    elif g.kind is QuotientKind.KLEIN:
+        words = [(rng.randint(-12, -5), rng.randint(-12, 12)),
+                 (rng.randint(5, 12), rng.randint(-12, -5))]
+    elif g.kind is QuotientKind.ZXC2:
+        words = [(rng.randint(-12, -5), eps) for eps in (0, 1)]
+    elif g.kind is QuotientKind.DINF:
+        words = [g.generators * 5, g.generators[::-1] * 4 + g.generators[1:]]
+    else:
+        return []
+    return [g.element(tuple(rng.randint(-3, 3) for _ in range(g.rank)), w)
+            for w in words]
+
+
+def test_collection_matches_letter_by_letter_oracle():
+    rng = random.Random(25)
+    for g in _collection_groups():
+        twin = oracles.letter_by_letter(g)
+        elements = ([random_element(g, rng) for _ in range(12)]
+                    + _long_words(g, rng))
+        for a in elements:
+            assert g.element_inv(a) == twin.element_inv(a), (g, a)
+            if g.axis_signs is not None:
+                assert g.orientation_character(a) == \
+                    twin.orientation_character(a), (g, a)
+            for b in rng.sample(elements, 6):
+                assert g.element_mul(a, b) == twin.element_mul(a, b), (g, a, b)
+                assert g.conjugate(a, b) == twin.conjugate(a, b), (g, a, b)
+        # the memo holds what the oracle builds, and the oracle keeps none
+        assert g._word_matrices and not twin._word_matrices
+        for q, m in g._word_matrices.items():
+            assert m == oracles.word_matrix(g, q), (g, q)
+
+
+def test_word_matrix_memo_is_per_group():
+    # the same words under different actions give different products, in
+    # either order of first use
+    plus, minus = (ExtensionGroup("Zq", 1, generators=("s",),
+                                  action={"s": [[a]]}) for a in (1, -1))
+    a, b = plus.element((1,), 1), plus.element((1,), 0)
+    for _ in range(2):
+        assert plus.element_mul(a, b) == GroupElement((2,), 1)
+        assert minus.element_mul(a, b) == GroupElement((0,), 1)
+    assert plus._word_matrices is not minus._word_matrices
+
+
+def test_pair_words_must_be_integers():
+    theta = catalog.b1_sd_theta_group()
+    for q in ((1.5, 0), (0, 1.5), ("1", 0), 5, (1, 0, 0)):
+        with pytest.raises(ValueError,
+                           match=r"ZxC2 word must be \(k, 0 or 1\)"):
+            theta.element((0, 0, 0), q)
+    # a bad word raises ValueError in the product too, not TypeError
+    with pytest.raises(ValueError, match="ZxC2 word"):
+        theta.element_mul(GroupElement((0, 0, 0), (1.5, 0)), theta.identity())
+    kb = catalog.kb_monodromy_group()
+    for q in ((1.5, "2"), (1, "2"), (1.0, 2), 3, (1,)):
+        with pytest.raises(ValueError,
+                           match="Klein word must be a pair of integers"):
+            kb.element((0, 0), q)
+    # integer types are read as plain ints, as the cocycles are
+    q = kb.element((0, 0), (np.int64(-3), 4)).q
+    assert q == (-3, 4) and type(q[0]) is int
+    assert theta.element((0, 0, 0), (np.int64(2), True)).q == (2, 1)
+
+
+def test_verify_homomorphism_needs_every_generator():
+    g = catalog.sigma_group()
+    pres = g.presentation()
+    images = {n: g.evaluate_word(n) for n in pres.generators}
+    assert verify_homomorphism(pres, images, g) is True
+    del images["v"]
+    with pytest.raises(ValueError, match=r"unmapped generators: \['v'\]"):
+        verify_homomorphism(pres, images, g)
+
+
+def test_verify_homomorphism_checks_each_image_at_first_use():
+    g = catalog.g2_group()
+    images = {"a": g.evaluate_word("s"), "b": GroupElement((0,), 0)}
+    # the first relator fails before the bad image of b is ever used
+    fails_first = FpPresentation(("a", "b"), ((("a", 2),), (("b", 1),)))
+    assert verify_homomorphism(fails_first, images, g) is False
+    # a positive or a negative first use of b raises
+    for rels in (((("b", 1),),), ((("a", 1), ("a", -1)), (("b", -3),))):
+        with pytest.raises(ValueError, match="lattice part has wrong length"):
+            verify_homomorphism(FpPresentation(("a", "b"), rels), images, g)
+
+
+def _relator_values(g, pres, images, collect):
+    out = []
+    for rel in pres.relators:
+        acc = g.identity()
+        for name, exp in rel:
+            img = images[name] if exp > 0 else g.element_inv(images[name])
+            acc = collect(acc, img, abs(exp))
+        out.append(acc)
+    return out
+
+
+def _repeated(g):
+    def collect(acc, img, k):
+        for _ in range(k):
+            acc = g.element_mul(acc, img)
+        return acc
+    return collect
+
+
+def test_relators_by_squaring_match_repeated_multiplication():
+    g = catalog.sigma_group()
+    pres = g.presentation()
+    assert {12, 17, 24} <= {abs(e) for rel in pres.relators for _, e in rel}
+    rng = random.Random(17)
+    swap = {"u": "v", "v": "u", "x": "x^3 y^-2"}
+    image_sets = [{n: g.evaluate_word(w) for n, w in
+                   dict(swap, y=y).items()} for y in ("x^4 y^-3", "x^4 y^3")]
+    image_sets += [{n: random_element(g, rng) for n in pres.generators}
+                   for _ in range(6)]
+    for images in image_sets:
+        want = _relator_values(g, pres, images, _repeated(g))
+        assert _relator_values(g, pres, images, g._mul_pow) == want
+        assert verify_homomorphism(pres, images, g) is \
+            all(v == g.identity() for v in want)

@@ -107,6 +107,20 @@ def test_order_twelve_catches_wrong_order_rule(monkeypatch):
          "order=None, M^12=I is True")}
 
 
+def test_catalog_examples_catches_a_wrong_relator_check(monkeypatch):
+    # a check that kills no relator fails both maps that must pass, and one
+    # that kills every relator fails the variant that must be rejected
+    monkeypatch.setattr(verify, "verify_homomorphism", lambda *args: False)
+    rep = run_suite("catalog-examples")
+    assert [(f["input"], f["actual"]) for f in rep.failures] == [
+        ("flat-endomorphism", "a relator survives"),
+        ("involution", "a relator survives")]
+    monkeypatch.setattr(verify, "verify_homomorphism", lambda *args: True)
+    rep = run_suite("catalog-examples")
+    assert [(f["input"], f["actual"]) for f in rep.failures] == [
+        ("involution-variant", "all relators hold")]
+
+
 def _tuple(m):
     return m.rows[0] + m.rows[1]
 
