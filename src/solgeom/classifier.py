@@ -133,10 +133,12 @@ def from_extension(u: IntMatrix, v: IntMatrix, s_u: IntVector,
                    s_v: IntVector) -> PillowcaseInvariant:
     """Recover the invariant from raw extension data.
 
-    Checked in this order: U and V are 3x3 involutions; the extension is
-    torsion-free; tr U = tr V = -1; W = U V fixes a line C; Z^3 = C + N for
-    N the saturation of im(W - I); W is hyperbolic on N.  The result does
-    not depend on the ambient basis.
+    Checked in this order: the group is well formed, so U and V are 3x3
+    involutions that fix their cocycles (ExtensionGroup's checks, raised
+    here as InvariantError); the extension is torsion-free; tr U = tr V =
+    -1; W = U V fixes a line C; Z^3 = C + N for N the saturation of
+    im(W - I); W is hyperbolic on N.  The result does not depend on the
+    ambient basis.
 
     After the torsion gate everything is exact 3x3 arithmetic.  C is
     spanned by the primitive cross product c of two rows of M = W - I, N is
@@ -152,17 +154,14 @@ def from_extension(u: IntMatrix, v: IntMatrix, s_u: IntVector,
     W = I.  So at index 1 V = (-1) + V|N, and Reiner's additive invariants
     of Z[C2]-lattices make V|N trivial + sign: e+- span N, cross = +-n.
     """
-    if u.n != 3 or v.n != 3:
-        raise InvariantError("expected 3x3 actions")
-    ident = IntMatrix.identity(3)
-    if u * u != ident or v * v != ident:
-        raise InvariantError("u and v must act by involutions")
-
-    group = ExtensionGroup(
-        "Dinf", 3, generators=("u", "v"),
-        action={"u": u, "v": v},
-        cocycles={"u": tuple(s_u), "v": tuple(s_v)},
-    )
+    try:
+        group = ExtensionGroup(
+            "Dinf", 3, generators=("u", "v"),
+            action={"u": u, "v": v},
+            cocycles={"u": tuple(s_u), "v": tuple(s_v)},
+        )
+    except ValueError as exc:
+        raise InvariantError(str(exc)) from None
     witness = group.find_torsion()
     if witness is not None:
         raise InvariantError(f"extension has torsion: witness "
@@ -171,6 +170,7 @@ def from_extension(u: IntMatrix, v: IntMatrix, s_u: IntVector,
         raise InvariantError(f"u and v must have trace -1: tr U = "
                              f"{u.trace()}, tr V = {v.trace()}")
 
+    ident = IntMatrix.identity(3)
     m = u * v - ident
     c = _line_kernel(m.rows)
     if c is None:

@@ -59,13 +59,17 @@ def _run(name, k) -> list[tuple[str, int]]:
     return [(name, 1 if k > 0 else -1)] * abs(k)
 
 
-def _int_pair(q, message) -> tuple[int, int]:
-    """The pair word q as two integers, read as the cocycles are read."""
+def _ints(values, message, n=None) -> tuple[int, ...]:
+    """values as a tuple of ints, read by operator.index as the cocycles
+    are (bools and NumPy integers pass, floats and strings do not), of
+    length n if n is given; else ValueError(message)."""
     try:
-        a, b = map(operator.index, q)
-    except (TypeError, ValueError):
+        ints = tuple(map(operator.index, values))
+    except TypeError:
         raise ValueError(message) from None
-    return a, b
+    if n is not None and len(ints) != n:
+        raise ValueError(message)
+    return ints
 
 
 class _Kind:
@@ -105,6 +109,7 @@ class _C2(_Kind):
     arity, involutive, identity = 1, (0,), 0
 
     def check(self, G, q):
+        q, = _ints((q,), "C2 word must be 0 or 1")
         if q not in (0, 1):
             raise ValueError("C2 word must be 0 or 1")
         return q
@@ -128,8 +133,7 @@ class _Zq(_Kind):
     arity, identity = 1, 0
 
     def check(self, G, q):
-        if not isinstance(q, int):
-            raise ValueError("Zq word must be an integer")
+        q, = _ints((q,), "Zq word must be an integer")
         return q
 
     def letters(self, G, q):
@@ -150,7 +154,7 @@ class _ZxC2(_Kind):
     arity, involutive, commutator, identity = 2, (1,), True, (0, 0)
 
     def check(self, G, q):
-        k, eps = _int_pair(q, "ZxC2 word must be (k, 0 or 1)")
+        k, eps = _ints(q, "ZxC2 word must be (k, 0 or 1)", 2)
         if eps not in (0, 1):
             raise ValueError("ZxC2 word must be (k, 0 or 1)")
         return (k, eps)
@@ -230,7 +234,7 @@ class _Klein(_Kind):
     arity, identity = 2, (0, 0)
 
     def check(self, G, q):
-        return _int_pair(q, "Klein word must be a pair of integers")
+        return _ints(q, "Klein word must be a pair of integers", 2)
 
     def letters(self, G, q):
         x, y = G.generators
@@ -430,10 +434,13 @@ class ExtensionGroup:
             if set(axis_signs) != set(self.generators):
                 raise ValueError("axis_signs must cover exactly the quotient "
                                  "generators")
+            self.axis_signs = {}
             for g, s in axis_signs.items():
+                message = f"axis sign of {g!r} must be +-1"
+                s, = _ints((s,), message)
                 if s not in (1, -1):
-                    raise ValueError(f"axis sign of {g!r} must be +-1")
-            self.axis_signs = axis_signs
+                    raise ValueError(message)
+                self.axis_signs[g] = s
 
         self.name = name
         self._word_matrices = {}  # checked word q -> action, in _word_matrix
@@ -456,7 +463,7 @@ class ExtensionGroup:
     # -- normal forms -------------------------------------------------------
 
     def element(self, t, q=None) -> GroupElement:
-        t = tuple(t)
+        t = _ints(t, "lattice part must be integers")
         if len(t) != self.rank:
             raise ValueError("lattice part has wrong length")
         if q is None:
@@ -889,17 +896,11 @@ class CenterDescription:
     rank: int
     generators: tuple[GroupElement, ...]
 
-    def __str__(self):
-        if not self.generators:
-            return "trivial"
-        parts = ", ".join(f"({g.t}, {g.q!r})" for g in self.generators)
-        return f"rank {self.rank}, generated by {parts}"
-
 
 def _check_description_shape(d) -> None:
     """Raise ValueError unless d has the JSON shape of a description:
     names are strings, matrices arrays of rows of integers, cocycles
-    arrays of integers.  Tuples pass as arrays."""
+    arrays of integers, axis signs integers.  Tuples pass as arrays."""
     if not isinstance(d, dict):
         raise ValueError("group description must be a JSON object")
     if d.get("name") is not None and not isinstance(d["name"], str):
@@ -928,6 +929,9 @@ def _check_description_shape(d) -> None:
         if not array_of(v, is_int):
             raise ValueError(f"cocycle of {g!r} must be an array of "
                              f"integers")
+    for g, s in (d.get("axisSigns") or {}).items():
+        if not is_int(s):
+            raise ValueError(f"axis sign of {g!r} must be +-1")
 
 
 def from_description(d: dict) -> ExtensionGroup:

@@ -63,16 +63,6 @@ _ID = IntMatrix.identity(2)
 _MINUS_ID = -_ID
 
 
-def _require_gl2(m: IntMatrix) -> int:
-    """The determinant of m, after checking that m is in GL(2,Z)."""
-    if m.n != 2:
-        raise ValueError("expected a 2x2 matrix")
-    d = m.det()
-    if d not in (1, -1):
-        raise ValueError(f"matrix with det {d} is not in GL(2,Z)")
-    return d
-
-
 # order of a det-1 element by its trace, for |trace| < 2: the characteristic
 # polynomial x^2 - t x + 1 is then cyclotomic of order 6, 4 or 3
 _ELLIPTIC_ORDERS = {1: 6, 0: 4, -1: 3}
@@ -87,12 +77,18 @@ def element_order(m: IntMatrix) -> int | None:
     |trace| > 2 is hyperbolic and with |trace| = 2 parabolic unless M = +-I,
     both of infinite order; |trace| < 2 gives order 6, 4 or 3.
     """
-    return _order(_require_gl2(m), m.rows)
+    if m.n != 2:
+        raise ValueError("expected a 2x2 matrix")
+    return _order(m.rows)
 
 
-def _order(d: int, rows) -> int | None:
-    """element_order of the GL(2,Z) matrix with these rows and det d."""
+def _order(rows) -> int | None:
+    """element_order of the 2x2 integer matrix with these rows, after
+    checking that it is in GL(2,Z)."""
     (a, b), (c, e) = rows
+    d = a * e - b * c
+    if d not in (1, -1):
+        raise ValueError(f"matrix with det {d} is not in GL(2,Z)")
     t = a + e
     if d == -1:
         return 2 if t == 0 else None
@@ -177,15 +173,15 @@ def conjugate_in_gl2z(m: IntMatrix, n: IntMatrix,
     lexicographically first conjugator; a None only certifies that no
     conjugator lies in the box, not that m and n are not conjugate.
     """
-    _require_gl2(m)
-    _require_gl2(n)
+    element_order(m)
+    element_order(n)
     return next(_box_scan(m, n, bound), None)
 
 
 def centralizer_sample(m: IntMatrix, bound: int) -> list[IntMatrix]:
     """All C in GL(2,Z) with entries within bound commuting with m, in
     lexicographic order; exhaustive over the box (see _box_scan)."""
-    _require_gl2(m)
+    element_order(m)
     return list(_box_scan(m, m, bound))
 
 
@@ -217,11 +213,11 @@ def two_ended_type(generators: list[IntMatrix]) -> TwoEndedType:
     """Classify a two-ended subgroup given 1 or 2 generators, optionally
     with -I adjoined to the list.
 
-    Each generator is checked once for GL(2,Z); +-I are found by their
-    rows, and the order of AB is read off the product of the two row
-    tuples, so no matrix is built on the way.
+    Each generator is checked once for GL(2,Z), as its order is taken;
+    +-I are found by their rows, and the order of AB is read off the
+    product of the two row tuples, so no matrix is built on the way.
     """
-    gens = []  # (matrix, det): each det is taken once
+    gens = []  # (matrix, order): each order is taken once
     adjoined_minus = False
     for g in generators:
         rows = g.rows
@@ -230,18 +226,14 @@ def two_ended_type(generators: list[IntMatrix]) -> TwoEndedType:
         if rows == _MINUS_ID.rows:
             adjoined_minus = True
             continue
-        # _require_gl2, inlined: the two-ended suite types every box pair
+        # element_order, inlined: the two-ended suite types every box pair
         if g.n != 2:
             raise ValueError("expected a 2x2 matrix")
-        (w, x), (y, z) = rows
-        d = w * z - x * y
-        if d not in (1, -1):
-            raise ValueError(f"matrix with det {d} is not in GL(2,Z)")
-        gens.append((g, d))
+        gens.append((g, _order(rows)))
 
     if len(gens) == 1:
-        (a, d), = gens
-        if _order(d, a.rows) is not None:
+        (a, order), = gens
+        if order is not None:
             raise NotTwoEndedError("single generator has finite order")
         if adjoined_minus:
             return TwoEndedType(2, (a,), True)
@@ -251,12 +243,11 @@ def two_ended_type(generators: list[IntMatrix]) -> TwoEndedType:
     if len(gens) != 2:
         raise NotTwoEndedError(f"expected 1 or 2 generators besides +-I, "
                                f"got {len(gens)}")
-    (a, da), (b, db) = gens
-    order_a, order_b = _order(da, a.rows), _order(db, b.rows)
+    (a, order_a), (b, order_b) = gens
     if order_a not in (2, 4) or order_b not in (2, 4):
         raise NotTwoEndedError("two-generator input needs generator orders "
                                "2 or 4")
-    if _order(da * db, _mul_rows(a.rows, b.rows, 2)) is not None:
+    if _order(_mul_rows(a.rows, b.rows, 2)) is not None:
         raise NotTwoEndedError("product AB has finite order")
 
     # put an order-4 generator first, for the case 5 witness convention

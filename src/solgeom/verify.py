@@ -117,11 +117,8 @@ def _unimodular_tuples(box: int):
 
 def _check_order_twelve(t):
     a, b, c, d = t
-    det = a * d - b * c
-    if det not in (1, -1):
-        raise ValueError(f"matrix with det {det} is not in GL(2,Z)")
     m = ((a, b), (c, d))
-    order = _order(det, m)
+    order = _order(m)
     # M^12 by the four products M ** 12 takes: M^2, M^3, M^6, M^12
     m3 = _mul_rows(_mul_rows(m, m, 2), m, 2)
     m6 = _mul_rows(m3, m3, 2)

@@ -481,11 +481,17 @@ def from_extension_by_kernels(u: IntMatrix, v: IntMatrix, s_u: IntVector,
     complement C, and the extension with the given square cocycles must be
     torsion-free.  The result does not depend on the ambient basis.
     """
-    if u.n != 3 or v.n != 3:
-        raise InvariantError("expected 3x3 actions")
+    for name, g in (("u", u), ("v", v)):
+        if g.n != 3:
+            raise InvariantError(f"action of {name!r} has wrong size")
     ident = IntMatrix.identity(3)
-    if u * u != ident or v * v != ident:
-        raise InvariantError("u and v must act by involutions")
+    for name, g, s in (("u", u, s_u), ("v", v, s_v)):
+        if g * g != ident:
+            raise InvariantError(f"action of involutive generator {name!r} "
+                                 f"does not square to I")
+        if g.apply(tuple(s)) != tuple(s):
+            raise InvariantError(f"square cocycle of {name!r} is not fixed "
+                                 f"by its action")
 
     group = ExtensionGroup(
         "Dinf", 3, generators=("u", "v"),

@@ -151,9 +151,16 @@ def test_from_extension_basis_change_invariant():
 
 def test_from_extension_rejections():
     ident3 = IntMatrix.identity(3)
-    with pytest.raises(InvariantError, match="involution"):
+    with pytest.raises(InvariantError, match="^action of involutive "
+                       "generator 'u' does not square to I$"):
         from_extension(IntMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), V0,
                        (0, 0, 0), SV0)
+    with pytest.raises(InvariantError,
+                       match=r"^action of 'u' is not in GL\(3,Z\)$"):
+        from_extension(IntMatrix.diagonal((2, 1, 1)), V0, (0, 0, 0), SV0)
+    with pytest.raises(InvariantError, match="^square cocycle of 'u' is "
+                       "not fixed by its action$"):
+        from_extension(U0, V0, (0, 0, 1), SV0)
     with pytest.raises(InvariantError, match="fixed lattice has rank 3"):
         from_extension(V0, V0, SV0, SV0)
     with pytest.raises(InvariantError, match="fixed lattice has rank 2"):
@@ -176,7 +183,8 @@ def test_from_extension_rejections():
         from_extension(IntMatrix([[3, 8, 0], [-1, -3, 0], [0, 0, 1]]),
                        IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
                        (-4, 1, 1), (0, 0, 1))
-    with pytest.raises(InvariantError, match="3x3"):
+    with pytest.raises(InvariantError, match="^action of 'u' has wrong "
+                       "size$"):
         from_extension(IntMatrix.identity(2), IntMatrix.identity(2),
                        (0, 0), (0, 0))
     with pytest.raises(InvariantError, match=r"\|n\.c\| = 0$"):
@@ -267,8 +275,8 @@ def _recovery(f, args):
 # every message from_extension can raise, up to the data that some of them
 # name: the torsion witness, the two traces, the index
 _REACHABLE_REJECTIONS = {
-    "expected 3x3 actions",
-    "u and v must act by involutions",
+    "action of 'u' has wrong size",
+    "action of involutive generator 'u' does not square to I",
     "square cocycle of 'u' is not fixed by its action",
     "extension has torsion: witness",
     "u and v must have trace -1",

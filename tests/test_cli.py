@@ -4,6 +4,7 @@ failure)."""
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -215,10 +216,12 @@ def test_usage_error_is_exit_one(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the package this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "solgeom.cli", "invariant", "isom",
          "3,2;4,3", "3,-2;-4,3"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["isomorphic"] is True
 
@@ -332,6 +335,52 @@ def test_malformed_description_is_one_error_document(capsys, tmp_path,
     assert out["schema"] == "solgeom/error-v1" and message in out["error"]
 
 
+def _zq(**fields):
+    """A rank-1 Zq description with generator s acting trivially, with
+    fields added or replaced."""
+    return {"kind": "Zq", "rank": 1, "generators": ["s"],
+            "action": {"s": [[1]]}, **fields}
+
+
+# (argv, description file appended to argv or None, exact error text)
+@pytest.mark.parametrize("argv, payload, error", [
+    (["invariant", "validate", "1,2,3;4,5,6;7,8,9"], None,
+     "expected a 2x2 matrix"),
+    (["group", "h1", "bordered((1,2,3),(3,2;4,3))"], None,
+     "xi must be a 2-vector"),
+    (["group", "h1"], _zq(lattice=["s"]), "generator names clash"),
+    (["group", "center"], _zq(cocycles={"s": [1]}),
+     "cocycle attached to 's', which admits none"),
+    *((["group", command], _zq(axisSigns={"s": sign}),
+       "axis sign of 's' must be +-1")
+      for command, sign in (("w1", 2), ("h1", 1.0), ("w1", True),
+                            ("w1", -1.0))),
+    (["group", "torsion"],
+     {"kind": "ZxC2", "rank": 2, "generators": ["s", "g"],
+      "action": {"s": [[1, 1], [0, 1]], "g": [[-1, 0], [0, 1]]}},
+     "ZxC2 actions do not commute"),
+    (["group", "h1"],
+     {"kind": "ZxC2", "rank": 1, "generators": ["s", "g"],
+      "action": {"s": [[1]], "g": [[1]]}, "cocycles": {"s": [1]}},
+     "ZxC2 cocycles are inconsistent: (A - I) s_g != (I + G) c"),
+    (["group", "w1"],
+     {"kind": "Dinf", "rank": 1, "generators": ["u"],
+      "action": {"u": [[-1]]}},
+     "kind Dinf takes exactly 2 generator name(s)"),
+])
+def test_rejection_is_one_exact_error_document(capsys, tmp_path, argv,
+                                               payload, error):
+    if payload is not None:
+        path = tmp_path / "description.json"
+        path.write_text(json.dumps(payload))
+        argv = [*argv, str(path)]
+    code = cli.main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert json.loads(lines[0]) == {"schema": "solgeom/error-v1",
+                                    "error": error}
+
+
 @pytest.mark.parametrize("suite, flag, key", [
     ("two-ended", "--box", "box"),
     ("roundtrip", "--max", "max_entry"),
@@ -362,13 +411,13 @@ _DESCRIPTION_FIELDS = ("kind", "rank", "lattice", "generators", "action",
 
 def _fuzzed_descriptions():
     """Each catalog group's description with one field, or one entry of
-    its action or cocycles, set to each fuzz value."""
+    its action, cocycles or axis signs, set to each fuzz value."""
     for g in default_catalog().values():
         d = g.to_description()
         for value in _FUZZ_VALUES:
             for key in _DESCRIPTION_FIELDS:
                 yield {**d, key: value}
-            for key in ("action", "cocycles"):
+            for key in ("action", "cocycles", "axisSigns"):
                 for name in d.get(key, {}):
                     yield {**d, key: {**d[key], name: value}}
 
@@ -383,4 +432,4 @@ def test_description_fuzz_is_one_document(capsys, tmp_path):
             out = json.loads(capsys.readouterr().out)  # exactly one document
             assert code in (0, 1) and "schema" in out, (command, d)
             runs += 1
-    assert runs == 4980
+    assert runs == 5640

@@ -713,6 +713,39 @@ def test_pair_words_must_be_integers():
     assert theta.element((0, 0, 0), (np.int64(2), True)).q == (2, 1)
 
 
+def test_element_integers_are_read_by_index():
+    # lattice parts, one-letter words and axis signs are read as the pair
+    # words are: a float or a string is a ValueError, a NumPy integer or a
+    # bool is its plain int
+    g = group_from_invariant(PillowcaseInvariant(5, 4, 6))
+    for t in ((1.5, 0, 0), ("1", 0, 0), 5):
+        with pytest.raises(ValueError, match="lattice part must be integers"):
+            g.element(t, ("u",))
+    with pytest.raises(ValueError, match="lattice part has wrong length"):
+        g.element((1, 0), ("u",))
+    e = g.element((np.int64(2), True, 0), ("u",))
+    assert e.t == (2, 1, 0) and all(type(x) is int for x in e.t)
+    c2 = ExtensionGroup("C2", 1, generators=("g",), action={"g": [[-1]]})
+    for q in (1.0, "1", (1,), 2):
+        with pytest.raises(ValueError, match="C2 word must be 0 or 1"):
+            c2.element((0,), q)
+    assert c2.element((0,), np.int64(1)).q == 1
+    zq = ExtensionGroup("Zq", 1, generators=("s",), action={"s": [[1]]})
+    for q in (1.0, "1", (1,)):
+        with pytest.raises(ValueError, match="Zq word must be an integer"):
+            zq.element((0,), q)
+    q = zq.element((0,), np.int64(-3)).q
+    assert q == -3 and type(q) is int
+    for sign in (1.0, -1.0, "1", 2, 0):
+        with pytest.raises(ValueError, match="axis sign of 's' must be"):
+            ExtensionGroup("Zq", 1, generators=("s",), action={"s": [[1]]},
+                           axis_signs={"s": sign})
+    signed = ExtensionGroup("Zq", 1, generators=("s",), action={"s": [[1]]},
+                            axis_signs={"s": np.int64(-1)})
+    assert signed.axis_signs == {"s": -1}
+    assert type(signed.axis_signs["s"]) is int
+
+
 def test_verify_homomorphism_needs_every_generator():
     g = catalog.sigma_group()
     pres = g.presentation()
